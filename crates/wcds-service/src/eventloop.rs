@@ -63,9 +63,11 @@ const WAKER_TOKEN: u64 = u64::MAX - 1;
 /// Unflushed response bytes above which a connection stops being read
 /// until the peer drains its socket (write backpressure).
 const MAX_OUT_BACKLOG: usize = 1 << 20;
-/// Undecoded request bytes buffered while a request is already in
-/// flight on the executors; above this the loop stops reading the
-/// connection (a pipelining client cannot balloon the decoder).
+/// Undecoded request bytes buffered ahead of the request being served
+/// (one in flight on the executors, or a complete frame not yet
+/// decoded); above this the loop stops reading the connection, so a
+/// pipelining client cannot balloon the decoder. A single incomplete
+/// frame is never capped here: `MAX_FRAME_LEN` bounds it.
 const MAX_DECODER_BACKLOG: usize = 256 * 1024;
 
 /// A request offloaded from the loop to an executor.
@@ -427,9 +429,9 @@ fn apply_completion(
 fn do_read(c: &mut Conn, counters: &ServiceCounters) -> ReadOutcome {
     let mut buf = [0u8; 16 * 1024];
     loop {
-        if c.decoder.buffered() > MAX_DECODER_BACKLOG
-            || c.out.len().saturating_sub(c.out_pos) > MAX_OUT_BACKLOG
-        {
+        let run_ahead_full = c.decoder.buffered() > MAX_DECODER_BACKLOG
+            && (c.in_flight || c.decoder.frame_ready());
+        if run_ahead_full || c.out.len().saturating_sub(c.out_pos) > MAX_OUT_BACKLOG {
             return ReadOutcome::More; // leave the rest in the kernel
         }
         counters.syscalls.fetch_add(1, Ordering::Relaxed);

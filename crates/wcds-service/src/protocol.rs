@@ -1059,6 +1059,18 @@ impl FrameDecoder {
         Ok(Some(frame))
     }
 
+    /// True when [`FrameDecoder::next_frame`] needs no more bytes: a
+    /// complete frame, or a length prefix it will reject, is buffered.
+    pub(crate) fn frame_ready(&self) -> bool {
+        let Some(hdr) = self.buf.get(self.pos..self.pos.saturating_add(4)) else {
+            return false;
+        };
+        let mut len_buf = [0u8; 4];
+        len_buf.copy_from_slice(hdr);
+        let len = u32::from_le_bytes(len_buf) as usize;
+        len > MAX_FRAME_LEN || self.buffered() >= len.saturating_add(4)
+    }
+
     /// True when consumed bytes of an incomplete frame (or an unread
     /// header) are buffered — a quiet peer in this state is stalled
     /// *mid-frame*, not idle, and should be dropped on timeout.
@@ -1390,5 +1402,23 @@ mod tests {
         dec.feed(&wire[wire.len() - 2..]);
         assert_eq!(dec.next_frame().unwrap(), Some(vec![1, 2, 3, 4, 5]));
         assert!(!dec.mid_frame());
+    }
+
+    #[test]
+    fn frame_ready_agrees_with_next_frame() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &[7; 10]).unwrap();
+        let mut dec = FrameDecoder::new();
+        for &b in &wire {
+            assert!(!dec.frame_ready(), "incomplete frame reported ready");
+            dec.feed(&[b]);
+        }
+        assert!(dec.frame_ready());
+        assert_eq!(dec.next_frame().unwrap(), Some(vec![7; 10]));
+        assert!(!dec.frame_ready());
+        // an oversized prefix is ready too: next_frame rejects it at once
+        dec.feed(&u32::try_from(MAX_FRAME_LEN + 1).unwrap().to_le_bytes());
+        assert!(dec.frame_ready());
+        assert!(dec.next_frame().is_err());
     }
 }

@@ -226,6 +226,24 @@ fn a_stalled_mid_frame_peer_is_dropped_and_does_not_slow_others() {
     handle.join();
 }
 
+/// A single request frame larger than the loop's run-ahead cap must
+/// still be read to completion: an n = 5,000 `Create` with its edge
+/// list is about 0.5 MB, twice the 256 KiB decoder backlog.
+#[test]
+fn a_frame_larger_than_the_run_ahead_cap_is_served() {
+    let handle = Server::bind("127.0.0.1:0", Store::new(), ServerConfig::default()).unwrap();
+    let mut c = Client::connect_with_timeout(handle.local_addr(), Duration::from_secs(30)).unwrap();
+    let big = payload(5_000, (5_000.0 * std::f64::consts::PI / 10.0f64).sqrt(), 3);
+    assert!(big.len() > 2 * 256 * 1024, "payload of {} bytes is too small", big.len());
+    let (nodes, edges, _) = c.create("big", &big).unwrap();
+    assert_eq!(nodes, 5_000);
+    assert!(edges > 0);
+    // the connection is still healthy afterwards
+    c.ping().unwrap();
+    c.shutdown_server().unwrap();
+    handle.join();
+}
+
 /// Dominator kill storm served entirely over event-loop TCP: a killer
 /// client parks backbone nodes out of radio range through the ordinary
 /// mutation API (victims harvested from route interiors — clusterhead

@@ -14,20 +14,26 @@ pub(crate) enum Outgoing<M> {
 ///
 /// The context exposes exactly what the paper allows a node to know:
 /// its own identifier, the identifiers of its 1-hop neighbors, and the
-/// current virtual time. Sending is buffered; the simulator flushes the
-/// buffer when the callback returns.
+/// current virtual time. Sending is buffered in the simulator's reusable
+/// buffers, which it flushes when the callback returns.
 #[derive(Debug)]
 pub struct Context<'a, M> {
     id: ProcId,
     neighbors: &'a [ProcId],
     now: Time,
-    pub(crate) outgoing: Vec<Outgoing<M>>,
-    pub(crate) timers: Vec<Time>,
+    outgoing: &'a mut Vec<Outgoing<M>>,
+    timers: &'a mut Vec<Time>,
 }
 
 impl<'a, M> Context<'a, M> {
-    pub(crate) fn new(id: ProcId, neighbors: &'a [ProcId], now: Time) -> Self {
-        Self { id, neighbors, now, outgoing: Vec::new(), timers: Vec::new() }
+    pub(crate) fn new(
+        id: ProcId,
+        neighbors: &'a [ProcId],
+        now: Time,
+        outgoing: &'a mut Vec<Outgoing<M>>,
+        timers: &'a mut Vec<Time>,
+    ) -> Self {
+        Self { id, neighbors, now, outgoing, timers }
     }
 
     /// This node's identifier.
@@ -84,9 +90,10 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Schedules [`crate::Protocol::on_timer`] to fire after `delay`
-    /// time units (at least 1).
+    /// time units (at least 1); the firing time saturates at
+    /// [`Time::MAX`].
     pub fn set_timer(&mut self, delay: Time) {
-        self.timers.push(self.now + delay.max(1));
+        self.timers.push(self.now.saturating_add(delay.max(1)));
     }
 }
 
@@ -94,48 +101,60 @@ impl<'a, M> Context<'a, M> {
 mod tests {
     use super::*;
 
+    /// Runs `f` on a context for node `id` with `nbrs` at time `now`
+    /// and returns what it buffered.
+    fn buffered<M>(
+        id: ProcId,
+        nbrs: &[ProcId],
+        now: Time,
+        f: impl FnOnce(&mut Context<'_, M>),
+    ) -> (Vec<Outgoing<M>>, Vec<Time>) {
+        let (mut outgoing, mut timers) = (Vec::new(), Vec::new());
+        f(&mut Context::new(id, nbrs, now, &mut outgoing, &mut timers));
+        (outgoing, timers)
+    }
+
     #[test]
     fn accessors_reflect_construction() {
-        let nbrs = [1, 4, 7];
-        let ctx: Context<'_, ()> = Context::new(3, &nbrs, 5);
-        assert_eq!(ctx.id(), 3);
-        assert_eq!(ctx.degree(), 3);
-        assert_eq!(ctx.now(), 5);
-        assert!(ctx.is_neighbor(4));
-        assert!(!ctx.is_neighbor(3));
+        buffered::<()>(3, &[1, 4, 7], 5, |ctx| {
+            assert_eq!(ctx.id(), 3);
+            assert_eq!(ctx.degree(), 3);
+            assert_eq!(ctx.now(), 5);
+            assert!(ctx.is_neighbor(4));
+            assert!(!ctx.is_neighbor(3));
+        });
     }
 
     #[test]
     fn broadcast_buffers_one_entry() {
-        let nbrs = [1, 2];
-        let mut ctx: Context<'_, u8> = Context::new(0, &nbrs, 0);
-        ctx.broadcast(9);
-        assert_eq!(ctx.outgoing.len(), 1);
-        assert_eq!(ctx.outgoing[0], Outgoing::Broadcast(9));
+        let (outgoing, _) = buffered(0, &[1, 2], 0, |ctx| ctx.broadcast(9u8));
+        assert_eq!(outgoing, vec![Outgoing::Broadcast(9)]);
     }
 
     #[test]
     fn unicast_to_neighbor_ok() {
-        let nbrs = [2];
-        let mut ctx: Context<'_, u8> = Context::new(0, &nbrs, 0);
-        ctx.send(2, 7);
-        assert_eq!(ctx.outgoing[0], Outgoing::Unicast(2, 7));
+        let (outgoing, _) = buffered(0, &[2], 0, |ctx| ctx.send(2, 7u8));
+        assert_eq!(outgoing, vec![Outgoing::Unicast(2, 7)]);
     }
 
     #[test]
     #[should_panic(expected = "non-neighbor")]
     fn unicast_to_stranger_panics() {
-        let nbrs = [2];
-        let mut ctx: Context<'_, u8> = Context::new(0, &nbrs, 0);
-        ctx.send(3, 7);
+        buffered(0, &[2], 0, |ctx| ctx.send(3, 7u8));
     }
 
     #[test]
     fn timer_fires_strictly_later() {
-        let nbrs: [ProcId; 0] = [];
-        let mut ctx: Context<'_, ()> = Context::new(0, &nbrs, 10);
-        ctx.set_timer(0);
-        ctx.set_timer(5);
-        assert_eq!(ctx.timers, vec![11, 15]);
+        let (_, timers) = buffered::<()>(0, &[], 10, |ctx| {
+            ctx.set_timer(0);
+            ctx.set_timer(5);
+        });
+        assert_eq!(timers, vec![11, 15]);
+    }
+
+    #[test]
+    fn timer_delay_saturates_instead_of_overflowing() {
+        let (_, timers) = buffered::<()>(0, &[], 10, |ctx| ctx.set_timer(Time::MAX));
+        assert_eq!(timers, vec![Time::MAX]);
     }
 }

@@ -2,17 +2,11 @@ use crate::context::{Context, Outgoing};
 use crate::{FaultPlan, MessageStats, ProcId, Protocol, SimReport, Time, TraceEvent, TraceLog};
 use wcds_rng::{ChaCha12Rng, Rng};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 use wcds_graph::Graph;
-
-/// An inbound event for one node: `Some((from, msg))` is a delivery,
-/// `None` a timer firing.
-type Inbound<M> = (ProcId, Option<(ProcId, M)>);
-
-/// An [`Inbound`] event scheduled for a future virtual time.
-type TimedInbound<M> = (Time, ProcId, Option<(ProcId, M)>);
 
 /// Per-step invariant inspector: receives the virtual time and every
 /// node's state, returns an error message to abort the run.
@@ -67,13 +61,7 @@ impl Schedule {
     /// An asynchronous schedule with per-message delays drawn
     /// deterministically from `seed` (uniform in `1..=8`).
     pub fn asynchronous(seed: u64) -> Self {
-        Self {
-            kind: ScheduleKind::Asynchronous { seed, max_delay: 8 },
-            fault: FaultPlan::default(),
-            max_events: 50_000_000,
-            trace_capacity: 0,
-            sync_descending: false,
-        }
+        Self { kind: ScheduleKind::Asynchronous { seed, max_delay: 8 }, ..Self::synchronous() }
     }
 
     /// Overrides the maximum per-message delay of an asynchronous
@@ -154,11 +142,100 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
-/// A pending delivery or timer.
+/// A scheduled event: the delivery of `msg` from `from` to `to`, or a
+/// timer firing at `to` when `msg` is `None`. A broadcast's receivers
+/// share one payload.
 #[derive(Debug)]
-enum PendingEvent<M> {
-    Deliver { from: ProcId, to: ProcId, msg: M },
-    Timer { node: ProcId },
+struct Event<M> {
+    from: ProcId,
+    to: ProcId,
+    msg: Option<Rc<M>>,
+}
+
+/// Pending events bucketed by virtual time, each bucket in push order.
+///
+/// Every push lands strictly after the time of the last popped bucket,
+/// so popping buckets earliest first and draining each in order yields
+/// events in `(time, push order)` order. Drained buckets are recycled,
+/// so memory is bounded by the events in flight, not the run's length.
+#[derive(Debug)]
+struct Calendar<M> {
+    buckets: BTreeMap<Time, Vec<Event<M>>>,
+    spare: Vec<Vec<Event<M>>>,
+    now: Time,
+}
+
+impl<M> Calendar<M> {
+    fn new() -> Self {
+        Self { buckets: BTreeMap::new(), spare: Vec::new(), now: 0 }
+    }
+
+    fn push(&mut self, at: Time, event: Event<M>) {
+        debug_assert!(at > self.now, "event at {at} is not after now = {}", self.now);
+        let spare = &mut self.spare;
+        self.buckets.entry(at).or_insert_with(|| spare.pop().unwrap_or_default()).push(event);
+    }
+
+    /// Removes the earliest bucket and advances the clock to its time.
+    fn pop(&mut self) -> Option<(Time, Vec<Event<M>>)> {
+        let (at, bucket) = self.buckets.pop_first()?;
+        self.now = at;
+        Some((at, bucket))
+    }
+
+    fn recycle(&mut self, mut bucket: Vec<Event<M>>) {
+        bucket.clear();
+        self.spare.push(bucket);
+    }
+}
+
+/// Delivery delays: always 1 (the next round) under the synchronous
+/// schedule, seeded uniform draws in `1..=max` under the asynchronous one.
+enum Delays {
+    Unit,
+    Uniform { rng: ChaCha12Rng, max: Time },
+}
+
+impl Delays {
+    fn next(&mut self) -> Time {
+        match self {
+            Delays::Unit => 1,
+            Delays::Uniform { rng, max } => rng.gen_range(1..=*max),
+        }
+    }
+}
+
+/// The state of one run, shared by both schedules.
+struct Run<M> {
+    calendar: Calendar<M>,
+    delays: Delays,
+    fault: FaultPlan,
+    stats: MessageStats,
+    trace: TraceLog,
+    /// Send and timer buffers lent to each callback's [`Context`].
+    outgoing: Vec<Outgoing<M>>,
+    timers: Vec<Time>,
+    events: u64,
+    max_events: u64,
+}
+
+impl<M> Run<M> {
+    /// Counts one executed event against the budget.
+    fn count_event(&mut self) -> Result<(), SimError> {
+        self.events += 1;
+        if self.events > self.max_events {
+            return Err(SimError::EventBudgetExhausted { budget: self.max_events });
+        }
+        Ok(())
+    }
+
+    fn into_report(self, rounds: u64, time: Time) -> SimReport {
+        SimReport { rounds, time, messages: self.stats, events: self.events, trace: self.trace }
+    }
+}
+
+fn inspect<P>(inspector: Inspector<'_, P>, time: Time, nodes: &[P]) -> Result<(), SimError> {
+    inspector(time, nodes).map_err(|message| SimError::InvariantViolated { time, message })
 }
 
 /// Runs one [`Protocol`] instance per node of a topology graph.
@@ -268,339 +345,210 @@ impl<P: Protocol> Simulator<P> {
     where
         F: FnMut(Time, &[P]) -> Result<(), String>,
     {
-        match schedule.kind {
-            ScheduleKind::Synchronous => self.run_synchronous(schedule, &mut inspector),
+        let Schedule { kind, fault, max_events, trace_capacity, sync_descending } = schedule;
+        let delays = match kind {
+            ScheduleKind::Synchronous => Delays::Unit,
             ScheduleKind::Asynchronous { seed, max_delay } => {
-                self.run_asynchronous(schedule, seed, max_delay, &mut inspector)
+                Delays::Uniform { rng: ChaCha12Rng::seed_from_u64(seed), max: max_delay }
             }
+        };
+        let mut run = Run {
+            calendar: Calendar::new(),
+            delays,
+            fault,
+            stats: MessageStats::new(self.nodes.len()),
+            trace: TraceLog::with_capacity(trace_capacity),
+            outgoing: Vec::new(),
+            timers: Vec::new(),
+            events: 0,
+            max_events,
+        };
+        for node in 0..self.nodes.len() {
+            if run.fault.is_crashed(node) {
+                continue;
+            }
+            run.trace.push(TraceEvent::Start { node, time: 0 });
+            run.events += 1;
+            self.dispatch(&mut run, node, 0, Callback::Start);
+        }
+        inspect(&mut inspector, 0, &self.nodes)?;
+        match kind {
+            ScheduleKind::Synchronous => self.run_synchronous(run, sync_descending, &mut inspector),
+            ScheduleKind::Asynchronous { .. } => self.run_asynchronous(run, &mut inspector),
         }
     }
 
+    /// Lock-step rounds: round `r` is the calendar's bucket at time
+    /// `r`, executed as a whole in deterministic id order, then
+    /// inspected. Rounds with no events still count and are inspected.
     fn run_synchronous(
         &mut self,
-        schedule: Schedule,
+        mut run: Run<P::Message>,
+        descending: bool,
         inspector: Inspector<'_, P>,
     ) -> Result<SimReport, SimError> {
-        let Schedule { mut fault, max_events, trace_capacity, sync_descending, .. } = schedule;
-        let mut stats = MessageStats::new(self.nodes.len());
-        let mut trace = if trace_capacity > 0 {
-            TraceLog::with_capacity(trace_capacity)
-        } else {
-            TraceLog::disabled()
-        };
-        // (fire_round, node, from, payload) — timers carry no payload
-        let mut current: Vec<Inbound<P::Message>> = Vec::new();
-        let mut future: Vec<TimedInbound<P::Message>> = Vec::new();
-        let mut events: u64 = 0;
-
-        // Round 0: starts.
-        for node in 0..self.nodes.len() {
-            if fault.is_crashed(node) {
-                continue;
-            }
-            trace.push(TraceEvent::Start { node, time: 0 });
-            events += 1;
-            let mut pending = Vec::new();
-            self.dispatch_sync(node, 0, &mut stats, &mut trace, &mut pending, StartOrEvent::Start);
-            future.extend(pending);
-        }
-        inspector(0, &self.nodes)
-            .map_err(|message| SimError::InvariantViolated { time: 0, message })?;
-
         let mut round: Time = 0;
-        while !future.is_empty() {
-            round += 1;
-            // pull everything due this round, in deterministic order
-            let mut due: Vec<Inbound<P::Message>> = Vec::new();
-            future.retain(|(t, node, payload)| {
-                if *t == round {
-                    due.push((*node, payload.clone()));
-                    false
-                } else {
-                    true
-                }
-            });
+        while let Some((at, mut bucket)) = run.calendar.pop() {
+            while round + 1 < at {
+                round += 1;
+                inspect(inspector, round, &self.nodes)?;
+            }
+            round = at;
             // messages before timers; then by (recipient, sender) —
             // ascending normally, descending under the adversarial order
-            due.sort_by_key(|(node, payload)| {
-                (payload.is_none(), *node, payload.as_ref().map(|(from, _)| *from))
-            });
-            if sync_descending {
-                // keep messages-before-timers, flip the id order
-                due.sort_by_key(|(node, payload)| {
-                    (
-                        payload.is_none(),
-                        std::cmp::Reverse(*node),
-                        payload.as_ref().map(|(from, _)| std::cmp::Reverse(*from)),
-                    )
-                });
+            if descending {
+                bucket.sort_by_key(|e| (e.msg.is_none(), Reverse(e.to), Reverse(e.from)));
+            } else {
+                bucket.sort_by_key(|e| (e.msg.is_none(), e.to, e.from));
             }
-            current.clear();
-            current.extend(due);
-            for (node, payload) in current.drain(..) {
-                if fault.is_crashed(node) {
+            for event in bucket.drain(..) {
+                if run.fault.is_crashed(event.to) {
                     continue;
                 }
-                events += 1;
-                if events > max_events {
-                    return Err(SimError::EventBudgetExhausted { budget: max_events });
-                }
-                match payload {
-                    Some((from, msg)) => {
-                        if fault.is_crashed(from) {
-                            continue;
-                        }
-                        let copies = fault.delivery_copies();
-                        if copies == 0 {
-                            trace.push(TraceEvent::Drop { from, to: node, time: round });
-                            continue;
-                        }
-                        for _ in 0..copies {
-                            stats.record_delivery();
-                            trace.push(TraceEvent::Deliver {
-                                from,
-                                to: node,
-                                kind: P::message_kind(&msg),
-                                time: round,
-                            });
-                            let mut pending = Vec::new();
-                            self.dispatch_sync(
-                                node,
-                                round,
-                                &mut stats,
-                                &mut trace,
-                                &mut pending,
-                                StartOrEvent::Message(from, msg.clone()),
-                            );
-                            future.extend(pending);
-                        }
-                    }
-                    None => {
-                        trace.push(TraceEvent::Timer { node, time: round });
-                        let mut pending = Vec::new();
-                        self.dispatch_sync(
-                            node,
-                            round,
-                            &mut stats,
-                            &mut trace,
-                            &mut pending,
-                            StartOrEvent::Timer,
-                        );
-                        future.extend(pending);
-                    }
-                }
+                run.count_event()?;
+                self.execute(&mut run, event, round);
             }
-            inspector(round, &self.nodes)
-                .map_err(|message| SimError::InvariantViolated { time: round, message })?;
+            run.calendar.recycle(bucket);
+            inspect(inspector, round, &self.nodes)?;
         }
-        Ok(SimReport { rounds: round, time: round, messages: stats, events, trace })
+        Ok(run.into_report(round, round))
     }
 
-    /// Synchronous dispatch: buffered sends land in the *next* round,
-    /// timers at `now + delay`.
-    fn dispatch_sync(
-        &mut self,
-        node: ProcId,
-        now: Time,
-        stats: &mut MessageStats,
-        trace: &mut TraceLog,
-        pending: &mut Vec<TimedInbound<P::Message>>,
-        what: StartOrEvent<P::Message>,
-    ) {
-        let mut ctx = Context::new(node, &self.adj[node], now);
-        match what {
-            StartOrEvent::Start => self.nodes[node].on_start(&mut ctx),
-            StartOrEvent::Message(from, msg) => self.nodes[node].on_message(from, msg, &mut ctx),
-            StartOrEvent::Timer => self.nodes[node].on_timer(&mut ctx),
-        }
-        let Context { outgoing, timers, .. } = ctx;
-        for out in outgoing {
-            match out {
-                Outgoing::Broadcast(msg) => {
-                    let kind = P::message_kind(&msg);
-                    stats.record_send(node, kind, P::message_payload(&msg));
-                    trace.push(TraceEvent::Send { from: node, kind, time: now });
-                    for &nb in &self.adj[node] {
-                        pending.push((now + 1, nb, Some((node, msg.clone()))));
-                    }
-                }
-                Outgoing::Unicast(to, msg) => {
-                    let kind = P::message_kind(&msg);
-                    stats.record_send(node, kind, P::message_payload(&msg));
-                    trace.push(TraceEvent::Send { from: node, kind, time: now });
-                    pending.push((now + 1, to, Some((node, msg))));
-                }
-            }
-        }
-        for fire_at in timers {
-            pending.push((fire_at, node, None));
-        }
-    }
-
+    /// Per-event execution in `(time, push order)` order, inspected
+    /// after every event that reached a live node.
     fn run_asynchronous(
         &mut self,
-        schedule: Schedule,
-        seed: u64,
-        max_delay: Time,
+        mut run: Run<P::Message>,
         inspector: Inspector<'_, P>,
     ) -> Result<SimReport, SimError> {
-        let Schedule { mut fault, max_events, trace_capacity, .. } = schedule;
-        let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let mut stats = MessageStats::new(self.nodes.len());
-        let mut trace = if trace_capacity > 0 {
-            TraceLog::with_capacity(trace_capacity)
-        } else {
-            TraceLog::disabled()
-        };
-        // min-heap on (time, seq); seq makes ordering total and deterministic
-        let mut heap: BinaryHeap<Reverse<(Time, u64, usize)>> = BinaryHeap::new();
-        let mut slab: Vec<Option<PendingEvent<P::Message>>> = Vec::new();
-        let mut seq: u64 = 0;
-        let mut events: u64 = 0;
         let mut now: Time = 0;
-
-        let push =
-            |heap: &mut BinaryHeap<Reverse<(Time, u64, usize)>>,
-             slab: &mut Vec<Option<PendingEvent<P::Message>>>,
-             seq: &mut u64,
-             at: Time,
-             ev: PendingEvent<P::Message>| {
-                slab.push(Some(ev));
-                heap.push(Reverse((at, *seq, slab.len() - 1)));
-                *seq += 1;
-            };
-
-        for node in 0..self.nodes.len() {
-            if fault.is_crashed(node) {
-                continue;
-            }
-            trace.push(TraceEvent::Start { node, time: 0 });
-            events += 1;
-            let outs = self.collect_dispatch(node, 0, &mut stats, &mut trace, StartOrEvent::Start);
-            for (fire_at, ev) in outs {
-                let at = match &ev {
-                    PendingEvent::Deliver { .. } => rng.gen_range(1..=max_delay),
-                    PendingEvent::Timer { .. } => fire_at,
-                };
-                push(&mut heap, &mut slab, &mut seq, at, ev);
-            }
-        }
-
-        inspector(0, &self.nodes)
-            .map_err(|message| SimError::InvariantViolated { time: 0, message })?;
-        while let Some(Reverse((t, _, slot))) = heap.pop() {
-            let Some(ev) = slab[slot].take() else {
-                debug_assert!(false, "event slot {slot} popped twice");
-                continue;
-            };
-            now = t;
-            events += 1;
-            if events > max_events {
-                return Err(SimError::EventBudgetExhausted { budget: max_events });
-            }
-            match ev {
-                PendingEvent::Deliver { from, to, msg } => {
-                    if fault.is_crashed(to) || fault.is_crashed(from) {
-                        continue;
-                    }
-                    let copies = fault.delivery_copies();
-                    if copies == 0 {
-                        trace.push(TraceEvent::Drop { from, to, time: now });
-                        continue;
-                    }
-                    for _ in 0..copies {
-                        stats.record_delivery();
-                        trace.push(TraceEvent::Deliver {
-                            from,
-                            to,
-                            kind: P::message_kind(&msg),
-                            time: now,
-                        });
-                        let outs = self.collect_dispatch(
-                            to,
-                            now,
-                            &mut stats,
-                            &mut trace,
-                            StartOrEvent::Message(from, msg.clone()),
-                        );
-                        for (fire_at, ev) in outs {
-                            let at = match &ev {
-                                PendingEvent::Deliver { .. } => now + rng.gen_range(1..=max_delay),
-                                PendingEvent::Timer { .. } => fire_at,
-                            };
-                            push(&mut heap, &mut slab, &mut seq, at, ev);
-                        }
-                    }
-                }
-                PendingEvent::Timer { node } => {
-                    if fault.is_crashed(node) {
-                        continue;
-                    }
-                    trace.push(TraceEvent::Timer { node, time: now });
-                    let outs =
-                        self.collect_dispatch(node, now, &mut stats, &mut trace, StartOrEvent::Timer);
-                    for (fire_at, ev) in outs {
-                        let at = match &ev {
-                            PendingEvent::Deliver { .. } => now + rng.gen_range(1..=max_delay),
-                            PendingEvent::Timer { .. } => fire_at,
-                        };
-                        push(&mut heap, &mut slab, &mut seq, at, ev);
-                    }
+        while let Some((at, mut bucket)) = run.calendar.pop() {
+            now = at;
+            for event in bucket.drain(..) {
+                run.count_event()?;
+                if !run.fault.is_crashed(event.to) && self.execute(&mut run, event, now) {
+                    inspect(inspector, now, &self.nodes)?;
                 }
             }
-            inspector(now, &self.nodes)
-                .map_err(|message| SimError::InvariantViolated { time: now, message })?;
+            run.calendar.recycle(bucket);
         }
-        Ok(SimReport { rounds: 0, time: now, messages: stats, events, trace })
+        Ok(run.into_report(0, now))
     }
 
-    /// Runs one callback and returns its produced events with their
-    /// *requested* fire instants (deliveries get a placeholder `0`;
-    /// the caller assigns delays).
-    fn collect_dispatch(
+    /// Executes one event addressed to a live node: a timer, or a
+    /// delivery from a live sender. Returns whether a callback ran.
+    fn execute(&mut self, run: &mut Run<P::Message>, event: Event<P::Message>, now: Time) -> bool {
+        let Event { from, to, msg } = event;
+        match msg {
+            None => {
+                run.trace.push(TraceEvent::Timer { node: to, time: now });
+                self.dispatch(run, to, now, Callback::Timer);
+                true
+            }
+            Some(_) if run.fault.is_crashed(from) => false,
+            Some(msg) => self.deliver(run, from, to, msg, now),
+        }
+    }
+
+    /// Applies the fault plan's fate to one delivery and runs
+    /// `on_message` once per surviving copy. Returns `false` if the
+    /// delivery was dropped.
+    fn deliver(
         &mut self,
+        run: &mut Run<P::Message>,
+        from: ProcId,
+        to: ProcId,
+        msg: Rc<P::Message>,
+        now: Time,
+    ) -> bool {
+        let copies = run.fault.delivery_copies();
+        if copies == 0 {
+            run.trace.push(TraceEvent::Drop { from, to, time: now });
+            return false;
+        }
+        for _ in 1..copies {
+            self.deliver_copy(run, from, to, P::Message::clone(&msg), now);
+        }
+        // the last holder of a shared payload takes it without cloning
+        let msg = Rc::try_unwrap(msg).unwrap_or_else(|shared| P::Message::clone(&shared));
+        self.deliver_copy(run, from, to, msg, now);
+        true
+    }
+
+    fn deliver_copy(
+        &mut self,
+        run: &mut Run<P::Message>,
+        from: ProcId,
+        to: ProcId,
+        msg: P::Message,
+        now: Time,
+    ) {
+        run.stats.record_delivery();
+        run.trace.push(TraceEvent::Deliver { from, to, kind: P::message_kind(&msg), time: now });
+        self.dispatch(run, to, now, Callback::Message(from, msg));
+    }
+
+    /// Runs one callback of `node`, then schedules what it sent — each
+    /// delivery after a delay drawn in send order — and the timers it set.
+    fn dispatch(
+        &mut self,
+        run: &mut Run<P::Message>,
         node: ProcId,
         now: Time,
-        stats: &mut MessageStats,
-        trace: &mut TraceLog,
-        what: StartOrEvent<P::Message>,
-    ) -> Vec<(Time, PendingEvent<P::Message>)> {
-        let mut ctx = Context::new(node, &self.adj[node], now);
+        what: Callback<P::Message>,
+    ) {
+        let neighbors = &self.adj[node];
+        let mut ctx = Context::new(node, neighbors, now, &mut run.outgoing, &mut run.timers);
+        let state = &mut self.nodes[node];
         match what {
-            StartOrEvent::Start => self.nodes[node].on_start(&mut ctx),
-            StartOrEvent::Message(from, msg) => self.nodes[node].on_message(from, msg, &mut ctx),
-            StartOrEvent::Timer => self.nodes[node].on_timer(&mut ctx),
+            Callback::Start => state.on_start(&mut ctx),
+            Callback::Message(from, msg) => state.on_message(from, msg, &mut ctx),
+            Callback::Timer => state.on_timer(&mut ctx),
         }
-        let Context { outgoing, timers, .. } = ctx;
-        let mut out = Vec::new();
-        for o in outgoing {
-            match o {
-                Outgoing::Broadcast(msg) => {
-                    let kind = P::message_kind(&msg);
-                    stats.record_send(node, kind, P::message_payload(&msg));
-                    trace.push(TraceEvent::Send { from: node, kind, time: now });
-                    for &nb in &self.adj[node] {
-                        out.push((0, PendingEvent::Deliver { from: node, to: nb, msg: msg.clone() }));
-                    }
-                }
-                Outgoing::Unicast(to, msg) => {
-                    let kind = P::message_kind(&msg);
-                    stats.record_send(node, kind, P::message_payload(&msg));
-                    trace.push(TraceEvent::Send { from: node, kind, time: now });
-                    out.push((0, PendingEvent::Deliver { from: node, to, msg }));
-                }
+        for out in run.outgoing.drain(..) {
+            let (msg, unicast) = match out {
+                Outgoing::Broadcast(msg) => (msg, None),
+                Outgoing::Unicast(to, msg) => (msg, Some(to)),
+            };
+            let kind = P::message_kind(&msg);
+            run.stats.record_send(node, kind, P::message_payload(&msg));
+            run.trace.push(TraceEvent::Send { from: node, kind, time: now });
+            let msg = Rc::new(msg);
+            let receivers = unicast.as_ref().map_or(neighbors.as_slice(), std::slice::from_ref);
+            for &to in receivers {
+                let at = now.saturating_add(run.delays.next());
+                run.calendar.push(at, Event { from: node, to, msg: Some(Rc::clone(&msg)) });
             }
         }
-        for fire_at in timers {
-            out.push((fire_at, PendingEvent::Timer { node }));
+        for at in run.timers.drain(..) {
+            run.calendar.push(at, Event { from: node, to: node, msg: None });
         }
-        out
     }
 }
 
 /// Which callback a dispatch runs.
-enum StartOrEvent<M> {
+enum Callback<M> {
     Start,
     Message(ProcId, M),
     Timer,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn calendar_pops_in_time_then_push_order() {
+        let mut cal: Calendar<()> = Calendar::new();
+        for (at, to) in [(3, 0), (1, 1), (3, 2), (2, 3), (1, 4)] {
+            cal.push(at, Event { from: 0, to, msg: None });
+        }
+        let mut order = Vec::new();
+        while let Some((at, mut bucket)) = cal.pop() {
+            order.extend(bucket.drain(..).map(|e| (at, e.to)));
+            cal.recycle(bucket);
+        }
+        assert_eq!(order, vec![(1, 1), (1, 4), (2, 3), (3, 0), (3, 2)]);
+        assert_eq!(cal.spare.len(), 3, "drained buckets are kept for reuse");
+    }
 }

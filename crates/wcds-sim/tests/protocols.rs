@@ -1,7 +1,7 @@
 //! End-to-end simulator tests with small reference protocols.
 
 use wcds_graph::{generators, Graph};
-use wcds_sim::{Context, FaultPlan, Protocol, Schedule, SimError, Simulator};
+use wcds_sim::{Context, FaultPlan, Protocol, Schedule, SimError, Simulator, Time};
 
 /// Flooding: node 0 injects a token; everyone forwards it once.
 #[derive(Debug, Default)]
@@ -315,4 +315,40 @@ fn region_kill_storm_partitions_a_grid_flood() {
             "node {i} (column {col}) on the wrong side of the storm"
         );
     }
+}
+
+/// Arms a short timer, then from its firing one that cannot fire
+/// before the end of time; records firings.
+#[derive(Debug, Default)]
+struct FarTimer {
+    fired_at: Vec<Time>,
+}
+
+impl Protocol for FarTimer {
+    type Message = ();
+
+    fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+        ctx.set_timer(2);
+    }
+
+    fn on_message(&mut self, _from: usize, _msg: (), _ctx: &mut Context<'_, ()>) {}
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, ()>) {
+        self.fired_at.push(ctx.now());
+        if self.fired_at.len() == 1 {
+            ctx.set_timer(Time::MAX); // now + Time::MAX would overflow
+        }
+    }
+}
+
+#[test]
+fn timer_at_the_end_of_time_neither_panics_nor_fires_early() {
+    let g = generators::path(3);
+    let mut sim = Simulator::new(&g, |_| FarTimer::default());
+    let report = sim.run(Schedule::asynchronous(1)).unwrap();
+    for node in sim.nodes() {
+        assert_eq!(node.fired_at, vec![2, Time::MAX]);
+    }
+    assert_eq!(report.time, Time::MAX);
+    assert_eq!(report.events, 3 + 6);
 }
