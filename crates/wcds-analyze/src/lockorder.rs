@@ -48,8 +48,8 @@ fn may_acquire(ws: &Workspace, graph: &CallGraph) -> Vec<BTreeMap<String, Step>>
                 let line = ws.fns[id].calls[e.call].line;
                 let classes: Vec<String> = acq[e.callee].keys().cloned().collect();
                 for c in classes {
-                    if !acq[id].contains_key(&c) {
-                        acq[id].insert(c, Step::Via(e.callee, line));
+                    if let std::collections::btree_map::Entry::Vacant(slot) = acq[id].entry(c) {
+                        slot.insert(Step::Via(e.callee, line));
                         changed = true;
                     }
                 }

@@ -13,9 +13,12 @@
 //! bridge set) before any timing is reported, and records the repair's
 //! locality radius — the per-stage propagation distance of the repair
 //! (disturbed edges → MIS flips, then disturbance ∪ flips →
-//! dominator-status changes): on steps where both the pre- and
-//! post-mutation graphs are connected it must be ≤ 3 (the paper's §4.2
-//! bound). Pass `--quick` for the CI smoke size.
+//! dominator-status changes): on steps whose seeds all lie in one
+//! component with the same node set before and after the move it must
+//! be ≤ 3 (the paper's §4.2 bound). Measuring inside the disturbance's
+//! component, not the whole graph, keeps the check meaningful on sparse
+//! city-scale fields, which are never globally connected. Pass
+//! `--quick` for the CI smoke size.
 //!
 //! A second section sweeps the **batched drift path** — 16-move ticks
 //! planned into region-lease waves ([`plan_batch`]) with each wave
@@ -34,7 +37,8 @@ use wcds_core::algo2::AlgorithmTwo;
 use wcds_core::maintenance::lease::{claim_cells, plan_batch, Scope};
 use wcds_core::maintenance::MaintainedWcds;
 use wcds_geom::{deploy, Point};
-use wcds_graph::{io, traversal, UnitDiskGraph};
+use wcds_graph::traversal::component_of;
+use wcds_graph::{io, UnitDiskGraph};
 use wcds_rng::{ChaCha12Rng, Rng};
 
 const SEED: u64 = 42;
@@ -47,7 +51,9 @@ const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 struct TraceStats {
     incr_ms: f64,
     scratch_ms: f64,
+    /// Largest locality radius over the steps with a stable component.
     max_connected_radius: u32,
+    /// Steps whose seeds share one component, unchanged by the move.
     connected_steps: usize,
     radius_le3: usize,
     touched_fraction_sum: f64,
@@ -79,7 +85,7 @@ fn run_trace(n: usize, steps: usize) -> TraceStats {
             (p.x + (rng.gen::<f64>() - 0.5) * 0.8).clamp(0.0, side),
             (p.y + (rng.gen::<f64>() - 0.5) * 0.8).clamp(0.0, side),
         );
-        let pre_connected = traversal::is_connected(net.graph());
+        let pre_component = component_of(net.graph(), u);
 
         let (ms, report) = time_ms(|| net.apply_motion(&[(u, q)]));
         stats.incr_ms += ms;
@@ -103,7 +109,9 @@ fn run_trace(n: usize, steps: usize) -> TraceStats {
             "n={n} step {step}: bridges diverged"
         );
 
-        if pre_connected && traversal::is_connected(net.graph()) {
+        // a moved node with changed edges is always one of its seeds
+        let post_component = component_of(net.graph(), u);
+        if report.within_stable_component(&pre_component, &post_component) {
             if let Some(r) = report.locality_radius {
                 stats.connected_steps += 1;
                 stats.max_connected_radius = stats.max_connected_radius.max(r);
@@ -216,7 +224,7 @@ fn main() {
         ));
         assert!(
             s.connected_steps == 0 || s.radius_le3 == s.connected_steps,
-            "n={n}: {} of {} connected repairs exceeded radius 3",
+            "n={n}: {} of {} stable-component repairs exceeded radius 3",
             s.connected_steps - s.radius_le3,
             s.connected_steps
         );

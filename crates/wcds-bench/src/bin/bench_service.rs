@@ -99,7 +99,7 @@ fn read_burst(
 ) -> Vec<Request> {
     (first..first + depth)
         .map(|i| {
-            if (i + t) % mutation_period == 0 {
+            if (i + t).is_multiple_of(mutation_period) {
                 let node = rng.gen_range(0..n);
                 let jx = (rng.gen::<f64>() - 0.5) * 0.5;
                 let jy = (rng.gen::<f64>() - 0.5) * 0.5;
@@ -184,7 +184,7 @@ fn run_mix(
                 if pipeline_depth > 0 {
                     // pipelined read mix: write the burst, drain it,
                     // amortize the round trip over its depth
-                    for b in 0..ops / pipeline_depth {
+                    for b in 0..ops.checked_div(pipeline_depth).unwrap_or(0) {
                         let burst = read_burst(
                             &mut rng,
                             mix,
@@ -213,7 +213,7 @@ fn run_mix(
                     return;
                 }
                 for i in 0..ops {
-                    if (i + t) % mutation_period == 0 {
+                    if (i + t).is_multiple_of(mutation_period) {
                         if batch_moves > 0 {
                             // drift tick: one frame, batch_moves moves
                             let tick_moves: Vec<Mutation> = (0..batch_moves)

@@ -25,7 +25,12 @@
 //!   the per-stage propagation distance of the repair (disturbed edges
 //!   → MIS flips, then disturbance ∪ flips → dominator-status changes)
 //!   — lets experiments verify the paper's 3-hop locality claim, plus
-//!   touched-node/edge counters sizing the repaired region.
+//!   touched-node/edge counters sizing the repaired region;
+//! * the report's status diff comes from the repair's own transitions
+//!   (MIS flips, bridge refcounts crossing 0 ↔ 1), and every search runs
+//!   on dense scratch kept across repairs, so a repair does work
+//!   proportional to the repaired ball — apart from the CSR splice's
+//!   `O(n + |E|)` memmove (see [`Graph::splice`]).
 //!
 //! Why the 3-hop ball suffices for bridges: the disturbed set `D`
 //! (delta seeds ∪ MIS flips) contains every endpoint of every changed
@@ -36,6 +41,7 @@
 //! graphs, and Algorithm II's pair rule for `u` reads nothing else.
 
 use crate::Wcds;
+use region::BallScratch;
 use std::collections::{BTreeMap, BTreeSet};
 use wcds_geom::Point;
 use wcds_graph::{DynamicUdg, Graph, NodeId};
@@ -67,26 +73,33 @@ const LOCALITY_SCAN_RADIUS: u32 = 8;
 #[derive(Debug, Clone)]
 pub struct MaintainedWcds {
     udg: DynamicUdg,
-    mis: BTreeSet<NodeId>,
+    /// MIS membership per node: the one representation of the MIS.
+    in_mis: Vec<bool>,
     /// MIS node → the bridges its 3-hop pairs selected (only non-empty
-    /// sets are stored).
+    /// sets are stored, so every key is an MIS node).
     contrib: BTreeMap<NodeId, BTreeSet<NodeId>>,
     /// Bridge → number of MIS nodes whose contribution set contains it.
     /// The key set *is* the additional-dominator set.
     bridge_refs: BTreeMap<NodeId, u32>,
     /// Workers for repair-internal parallel sweeps (contribution-set
-    /// recomputation fans out per anchor above
-    /// [`PARALLEL_REPAIR_THRESHOLD`]). Results are identical for every
-    /// value — the per-anchor sets are computed read-only and merged in
-    /// ascending key order.
+    /// recomputation fans out per [`ANCHORS_PER_WORKER`] anchors).
+    /// Results are identical for every value — the per-anchor sets are
+    /// computed read-only and merged serially in key order.
     threads: usize,
+    /// Search scratch for the repaired region (the 3-hop ball) and the
+    /// locality scans, kept across repairs.
+    region: BallScratch,
+    /// Per-anchor search scratch, one per repair worker, kept across
+    /// repairs.
+    anchors: Vec<BallScratch>,
 }
 
-/// Below this many refresh anchors a repair stays on the calling thread:
-/// typical single-mutation repairs touch a handful of MIS nodes and the
-/// spawn cost would dominate. Batched drift ticks routinely disturb
-/// hundreds of anchors and cross this comfortably.
-const PARALLEL_REPAIR_THRESHOLD: usize = 16;
+/// Refresh anchors per repair worker: a repair spawns at most one worker
+/// per this many anchors (and at most [`MaintainedWcds::threads`]), so
+/// a worker's share of per-anchor searches (a few µs each) outweighs
+/// its spawn cost. Single mutations and small batches stay on the
+/// calling thread; a 64-move city-scale tick (≈ 700 anchors) fans out.
+const ANCHORS_PER_WORKER: usize = 128;
 
 /// What one repair changed, how far from the disturbance, and how much
 /// of the graph it had to look at.
@@ -141,14 +154,28 @@ impl RepairReport {
             || !self.demoted.is_empty()
             || !self.role_changes.is_empty()
     }
+
+    /// Whether the paper's §4.2 three-hop bound applies to this repair:
+    /// every seed (`affected`) lies in one component whose node set the
+    /// mutation left unchanged. `before` and `after` are the component
+    /// of one moved node before and after the motion, as returned by
+    /// [`traversal::component_of`](wcds_graph::traversal::component_of).
+    ///
+    /// A sparse city-scale field is never globally connected, so the
+    /// bound is checked inside the disturbance's component rather than
+    /// on whole connected graphs (which this rule includes). A move
+    /// that splits or merges components does not qualify, nor does a
+    /// join or a leave, whose component changes by construction.
+    pub fn within_stable_component(&self, before: &[NodeId], after: &[NodeId]) -> bool {
+        before == after && self.affected.iter().all(|s| after.binary_search(s).is_ok())
+    }
 }
 
-/// Snapshot of the dominator partition a repair is diffed against,
-/// taken in the id space the repair will report in.
-struct Baseline {
-    mis: BTreeSet<NodeId>,
-    bridges: BTreeSet<NodeId>,
-}
+/// Bridge refcount crossings of one repair, in order: `(b, true)` when
+/// `b`'s count fell to 0 (it stopped being a bridge), `(b, false)` when
+/// it rose from 0. A bridge's status before the repair is what its
+/// first crossing left.
+type BridgeFlips = Vec<(NodeId, bool)>;
 
 impl MaintainedWcds {
     /// Builds the initial WCDS (Algorithm II's construction) over a
@@ -172,7 +199,7 @@ impl MaintainedWcds {
             crate::partition::mis_over_points(udg.graph(), udg.points(), nthreads.max(1));
         let per_anchor =
             crate::partition::bridge_contributions(udg.graph(), &mis_vec, nthreads.max(1));
-        let mis: BTreeSet<NodeId> = mis_vec.into_iter().collect();
+        let in_mis = udg.graph().membership(&mis_vec);
         let mut contrib = BTreeMap::new();
         let mut bridge_refs: BTreeMap<NodeId, u32> = BTreeMap::new();
         for (u, set) in per_anchor {
@@ -184,7 +211,16 @@ impl MaintainedWcds {
             }
             contrib.insert(u, set);
         }
-        let net = Self { udg, mis, contrib, bridge_refs, threads: nthreads.max(1) };
+        let region = BallScratch::new(udg.node_count());
+        let net = Self {
+            udg,
+            in_mis,
+            contrib,
+            bridge_refs,
+            threads: nthreads.max(1),
+            region,
+            anchors: Vec::new(),
+        };
         net.debug_check_against_global();
         net
     }
@@ -220,7 +256,12 @@ impl MaintainedWcds {
 
     /// The current WCDS.
     pub fn wcds(&self) -> Wcds {
-        Wcds::new(self.mis.iter().copied().collect(), self.bridge_refs.keys().copied().collect())
+        Wcds::new(self.mis_nodes(), self.bridge_refs.keys().copied().collect())
+    }
+
+    /// The MIS, ascending.
+    fn mis_nodes(&self) -> Vec<NodeId> {
+        self.in_mis.iter().enumerate().filter(|&(_, &m)| m).map(|(u, _)| u).collect()
     }
 
     /// Moves the listed nodes and repairs the WCDS. The whole batch is
@@ -233,16 +274,15 @@ impl MaintainedWcds {
     ///
     /// Panics if a node id is out of range.
     pub fn apply_motion(&mut self, moves: &[(NodeId, Point)]) -> RepairReport {
-        let before = self.baseline();
         let delta = self.udg.move_nodes(moves);
-        self.repair(&delta.seeds, before, delta.added, delta.removed)
+        self.repair(&delta.seeds, BridgeFlips::new(), delta.added, delta.removed)
     }
 
     /// Adds a node (it receives the next id `n`) and repairs.
     pub fn apply_join(&mut self, p: Point) -> RepairReport {
-        let before = self.baseline();
         let (_, delta) = self.udg.add_node(p);
-        self.repair(&delta.seeds, before, delta.added, Vec::new())
+        self.in_mis.push(false);
+        self.repair(&delta.seeds, BridgeFlips::new(), delta.added, Vec::new())
     }
 
     /// Removes node `u`. **Ids above `u` shift down by one** (positions
@@ -257,7 +297,9 @@ impl MaintainedWcds {
         let dropped = self.contrib.remove(&u);
         let delta = self.udg.remove_node(u);
         let remap = |x: NodeId| if x > u { x - 1 } else { x };
-        self.mis = self.mis.iter().copied().filter(|&x| x != u).map(remap).collect();
+        // the leaver's own status vanishes with it; repairs report in
+        // the new id space, against the remapped state a reader saw last
+        self.in_mis.remove(u);
         self.contrib = self
             .contrib
             .iter()
@@ -274,31 +316,38 @@ impl MaintainedWcds {
             .filter(|&(&b, _)| b != u)
             .map(|(&b, &c)| (remap(b), c))
             .collect();
-        // status baseline in the new id space, before the leaver's own
-        // contributions are released (mirrors what a reader saw last)
-        let before = self.baseline();
+        // releasing the leaver's contributions is part of the repair
+        let mut flips = BridgeFlips::new();
         for b in dropped.into_iter().flatten() {
-            release_bridge(&mut self.bridge_refs, remap(b));
+            release_bridge(&mut self.bridge_refs, &mut flips, remap(b));
         }
-        self.repair(&delta.seeds, before, Vec::new(), delta.removed)
+        self.repair(&delta.seeds, flips, Vec::new(), delta.removed)
     }
 
     /// Delta-driven repair: cascade the MIS from the seeds, then refresh
     /// contribution sets for MIS nodes inside the 3-hop ball around the
-    /// disturbance (seeds ∪ flips).
+    /// disturbance (seeds ∪ flips). The status diff is derived from the
+    /// repair's own transitions — MIS flips plus bridge refcounts
+    /// crossing 0 ↔ 1 (`flips` arrives holding any crossings made before
+    /// the call) — so no whole-graph set is copied or compared.
     fn repair(
         &mut self,
         seeds: &[NodeId],
-        before: Baseline,
+        mut flips: BridgeFlips,
         edges_added: Vec<(NodeId, NodeId)>,
         edges_removed: Vec<(NodeId, NodeId)>,
     ) -> RepairReport {
         let g = self.udg.graph();
-        let flipped = region::cascade_mis(g, &mut self.mis, seeds);
-        let mut dirty: BTreeSet<NodeId> = seeds.iter().copied().collect();
-        dirty.extend(flipped.iter().copied());
-        let ball = region::bounded_ball(g, dirty.iter().copied(), 3);
-        if ball.len() * 2 >= g.node_count() {
+        let n = g.node_count();
+        let flipped = region::cascade_mis(g, &mut self.in_mis, seeds);
+        let mut dirty: Vec<NodeId> = seeds.iter().chain(&flipped).copied().collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        self.region.resize(n);
+        let ball = self.region.ball(g, dirty.iter().copied(), 3);
+        let touched_nodes = ball.len();
+        let touched_edges = ball.iter().map(|&u| g.degree(u)).sum();
+        if touched_nodes * 2 >= n {
             // dense repair: the ball covers most of the graph, so the
             // per-anchor diff/merge below degenerates to a global pass
             // that still pays set-diff bookkeeping per key. Rebuild the
@@ -307,9 +356,9 @@ impl MaintainedWcds {
             // function of (graph, MIS, anchor), so anchors outside the
             // ball recompute to their old values and the result is
             // identical to the incremental path (debug-asserted below).
-            let mis_vec: Vec<NodeId> = self.mis.iter().copied().collect();
             let per_anchor =
-                crate::partition::bridge_contributions(g, &mis_vec, self.threads);
+                crate::partition::bridge_contributions(g, &self.mis_nodes(), self.threads);
+            let old_bridges: Vec<NodeId> = self.bridge_refs.keys().copied().collect();
             self.contrib.clear();
             self.bridge_refs.clear();
             for (u, set) in per_anchor {
@@ -321,51 +370,69 @@ impl MaintainedWcds {
                 }
                 self.contrib.insert(u, set);
             }
+            // the crossings are the difference of the two key sets
+            for &b in &old_bridges {
+                if !self.bridge_refs.contains_key(&b) {
+                    flips.push((b, true));
+                }
+            }
+            for &b in self.bridge_refs.keys() {
+                if old_bridges.binary_search(&b).is_err() {
+                    flips.push((b, false));
+                }
+            }
         } else {
             // refresh every current-MIS node in the ball, plus every old
-            // contribution key in it (covers nodes that just left the MIS)
+            // contribution key in it: contribution keys are MIS nodes, so
+            // those not in the MIS any more are exactly the flipped ones
+            let in_mis = &self.in_mis;
             let keys: Vec<NodeId> = ball
-                .keys()
+                .iter()
                 .copied()
-                .filter(|k| self.mis.contains(k) || self.contrib.contains_key(k))
+                .filter(|&k| {
+                    in_mis.get(k).copied().unwrap_or(false) || flipped.binary_search(&k).is_ok()
+                })
                 .collect();
             // per-anchor sets are a read-only function of (graph, MIS,
             // anchor), so they can be computed on any number of workers; the
-            // refcount/contrib merge below stays serial in ascending key
-            // order, making the result thread-count-invariant
-            let workers =
-                if keys.len() >= PARALLEL_REPAIR_THRESHOLD { self.threads } else { 1 };
-            let mut new_sets: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); keys.len()];
-            {
-                let mis = &self.mis;
-                let nodes = g.node_count();
-                wcds_graph::parallel::map_indices_with(
-                    workers,
-                    &mut new_sets,
-                    || region::BallScratch::new(nodes),
-                    |scratch, i| {
-                        let k = keys[i];
-                        if mis.contains(&k) {
-                            region::contributions_for_with(scratch, g, mis, k)
-                        } else {
-                            BTreeSet::new()
-                        }
-                    },
-                );
+            // refcount/contrib merge below stays serial in key order,
+            // making the result thread-count-invariant
+            let workers = (keys.len() / ANCHORS_PER_WORKER).clamp(1, self.threads);
+            if self.anchors.len() < workers {
+                self.anchors.resize_with(workers, BallScratch::default);
             }
-            for (&k, new_set) in keys.iter().zip(new_sets) {
-                let old_set = self.contrib.remove(&k).unwrap_or_default();
-                if new_set == old_set {
-                    if !old_set.is_empty() {
-                        self.contrib.insert(k, old_set);
+            let anchors = self.anchors.get_mut(..workers).unwrap_or_default();
+            for scratch in anchors.iter_mut() {
+                scratch.resize(n);
+            }
+            let mut new_sets: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); keys.len()];
+            wcds_graph::parallel::map_indices_in(anchors, &mut new_sets, |scratch, i| {
+                match keys.get(i) {
+                    Some(&k) if in_mis.get(k).copied().unwrap_or(false) => {
+                        region::contributions_for_pred(
+                            scratch,
+                            g,
+                            |w| in_mis.get(w).copied().unwrap_or(false),
+                            k,
+                        )
                     }
+                    _ => BTreeSet::new(),
+                }
+            });
+            for (&k, new_set) in keys.iter().zip(new_sets) {
+                let unchanged = match self.contrib.get(&k) {
+                    Some(old_set) => *old_set == new_set,
+                    None => new_set.is_empty(),
+                };
+                if unchanged {
                     continue;
                 }
+                let old_set = self.contrib.remove(&k).unwrap_or_default();
                 for &b in old_set.difference(&new_set) {
-                    release_bridge(&mut self.bridge_refs, b);
+                    release_bridge(&mut self.bridge_refs, &mut flips, b);
                 }
                 for &b in new_set.difference(&old_set) {
-                    *self.bridge_refs.entry(b).or_insert(0) += 1;
+                    acquire_bridge(&mut self.bridge_refs, &mut flips, b);
                 }
                 if !new_set.is_empty() {
                     self.contrib.insert(k, new_set);
@@ -373,80 +440,44 @@ impl MaintainedWcds {
             }
         }
 
-        let after = self.dominators();
-        let before_union: BTreeSet<NodeId> =
-            before.mis.union(&before.bridges).copied().collect();
-        let promoted: Vec<NodeId> = after.difference(&before_union).copied().collect();
-        let demoted: Vec<NodeId> = before_union.difference(&after).copied().collect();
-        // dominators whose *kind* flipped while the union kept them: a
-        // bridge absorbed into the MIS as a nearby head drops to bridge
-        // is invisible to the union diff yet invalidates every
-        // head-derived artifact downstream
-        let bridges_after: BTreeSet<NodeId> = self.bridge_refs.keys().copied().collect();
-        let role_changes: Vec<NodeId> = before
-            .mis
-            .symmetric_difference(&self.mis)
-            .chain(before.bridges.symmetric_difference(&bridges_after))
-            .copied()
-            .filter(|u| {
-                promoted.binary_search(u).is_err() && demoted.binary_search(u).is_err()
-            })
-            .collect::<BTreeSet<NodeId>>()
-            .into_iter()
-            .collect();
-        let affected: Vec<NodeId> = seeds.to_vec();
-        let locality_radius = if affected.is_empty() {
+        let (promoted, demoted, role_changes) =
+            status_changes(&flipped, flips, &self.in_mis, &self.bridge_refs);
+        let locality_radius = if seeds.is_empty() {
             None
         } else {
-            let g = self.udg.graph();
             // stage one: how far the MIS cascade ran from the disturbed
             // edge endpoints (no flips → nothing to measure, no scan)
             let cascade = if flipped.is_empty() {
                 None
             } else {
-                let targets: BTreeSet<NodeId> = flipped.iter().copied().collect();
-                let from_seeds = region::distances_to_targets(
+                self.region.max_distance_to(
                     g,
-                    affected.iter().copied(),
-                    &targets,
+                    seeds.iter().copied(),
+                    &flipped,
                     LOCALITY_SCAN_RADIUS,
-                );
-                flipped
-                    .iter()
-                    .map(|u| from_seeds.get(u).copied().unwrap_or(u32::MAX))
-                    .max()
+                )
             };
             // stage two: how far dominator-status changes sit from the
             // disturbance including those flips (a flipped MIS node is
             // itself part of the disturbance the bridge layer sees)
-            let status = if promoted.is_empty() && demoted.is_empty() && role_changes.is_empty()
-            {
+            let mut targets: Vec<NodeId> =
+                promoted.iter().chain(&demoted).chain(&role_changes).copied().collect();
+            targets.sort_unstable();
+            let status = if targets.is_empty() {
                 None
             } else {
-                let targets: BTreeSet<NodeId> = promoted
-                    .iter()
-                    .chain(&demoted)
-                    .chain(&role_changes)
-                    .copied()
-                    .collect();
-                let from_dirty = region::distances_to_targets(
+                self.region.max_distance_to(
                     g,
                     dirty.iter().copied(),
                     &targets,
                     LOCALITY_SCAN_RADIUS,
-                );
-                targets
-                    .iter()
-                    .map(|u| from_dirty.get(u).copied().unwrap_or(u32::MAX))
-                    .max()
+                )
             };
             cascade.max(status)
         };
-        let touched_nodes = ball.len();
-        let touched_edges = ball.keys().map(|&u| self.udg.graph().degree(u)).sum();
         self.debug_check_against_global();
         RepairReport {
-            affected,
+            affected: seeds.to_vec(),
             promoted,
             demoted,
             role_changes,
@@ -458,26 +489,13 @@ impl MaintainedWcds {
         }
     }
 
-    /// Current dominator set: MIS ∪ referenced bridges.
-    fn dominators(&self) -> BTreeSet<NodeId> {
-        self.mis.iter().chain(self.bridge_refs.keys()).copied().collect()
-    }
-
-    fn baseline(&self) -> Baseline {
-        Baseline {
-            mis: self.mis.clone(),
-            bridges: self.bridge_refs.keys().copied().collect(),
-        }
-    }
-
     /// Debug-build oracle: incremental state must equal a from-scratch
     /// Algorithm II run after every mutation.
     #[cfg(debug_assertions)]
     fn debug_check_against_global(&self) {
         let g = self.udg.graph();
         let fresh_mis = crate::mis::greedy_mis(g, crate::mis::RankingMode::StaticId);
-        let mis: Vec<NodeId> = self.mis.iter().copied().collect();
-        debug_assert_eq!(mis, fresh_mis, "cascade diverged from greedy MIS");
+        debug_assert_eq!(self.mis_nodes(), fresh_mis, "cascade diverged from greedy MIS");
         let additional: Vec<NodeId> = self.bridge_refs.keys().copied().collect();
         debug_assert_eq!(
             additional,
@@ -498,8 +516,9 @@ impl MaintainedWcds {
     fn debug_check_against_global(&self) {}
 }
 
-/// Drops one reference to bridge `b`, deleting the entry at zero.
-fn release_bridge(refs: &mut BTreeMap<NodeId, u32>, b: NodeId) {
+/// Drops one reference to bridge `b`, deleting the entry (and logging
+/// the crossing) at zero.
+fn release_bridge(refs: &mut BTreeMap<NodeId, u32>, flips: &mut BridgeFlips, b: NodeId) {
     let gone = match refs.get_mut(&b) {
         Some(c) => {
             *c -= 1;
@@ -512,7 +531,62 @@ fn release_bridge(refs: &mut BTreeMap<NodeId, u32>, b: NodeId) {
     };
     if gone {
         refs.remove(&b);
+        flips.push((b, true));
     }
+}
+
+/// Adds one reference to bridge `b`, logging the crossing when it is
+/// the first.
+fn acquire_bridge(refs: &mut BTreeMap<NodeId, u32>, flips: &mut BridgeFlips, b: NodeId) {
+    let count = refs.entry(b).or_insert(0);
+    *count += 1;
+    if *count == 1 {
+        flips.push((b, false));
+    }
+}
+
+/// Promoted, demoted and role-changed nodes (each ascending) from one
+/// repair's transitions: the MIS flips and the bridge refcount
+/// crossings. Only those nodes can have changed status; for each, the
+/// before-state is recovered (an MIS flip inverts membership, a
+/// bridge's first crossing records whether it was one) and compared
+/// with the current state. Equal to diffing the full before/after
+/// MIS/bridge partitions.
+fn status_changes(
+    flipped: &[NodeId],
+    mut flips: BridgeFlips,
+    in_mis: &[bool],
+    bridge_refs: &BTreeMap<NodeId, u32>,
+) -> (Vec<NodeId>, Vec<NodeId>, Vec<NodeId>) {
+    // stable sort, then keep each bridge's first crossing
+    flips.sort_by_key(|&(b, _)| b);
+    flips.dedup_by_key(|&mut (b, _)| b);
+    let mut candidates: Vec<NodeId> =
+        flipped.iter().copied().chain(flips.iter().map(|&(b, _)| b)).collect();
+    candidates.sort_unstable();
+    candidates.dedup();
+    let (mut promoted, mut demoted, mut role_changes) = (Vec::new(), Vec::new(), Vec::new());
+    for u in candidates {
+        let mis_after = in_mis.get(u).copied().unwrap_or(false);
+        let mis_before = mis_after != flipped.binary_search(&u).is_ok();
+        let bridge_after = bridge_refs.contains_key(&u);
+        let bridge_before = match flips.binary_search_by_key(&u, |&(b, _)| b) {
+            Ok(i) => flips.get(i).map_or(bridge_after, |&(_, was)| was),
+            Err(_) => bridge_after,
+        };
+        match (mis_before || bridge_before, mis_after || bridge_after) {
+            (false, true) => promoted.push(u),
+            (true, false) => demoted.push(u),
+            // a dominator whose *kind* flipped while the union kept it:
+            // invisible to a union diff, yet it invalidates every
+            // head-derived artifact downstream
+            _ if mis_before != mis_after || bridge_before != bridge_after => {
+                role_changes.push(u)
+            }
+            _ => {}
+        }
+    }
+    (promoted, demoted, role_changes)
 }
 
 #[cfg(test)]
@@ -674,6 +748,33 @@ mod tests {
             }
             assert_valid(&net);
         }
+    }
+
+    #[test]
+    fn repairs_are_identical_for_every_worker_count() {
+        // 64-move ticks at n = 12,000 refresh several hundred anchors,
+        // enough for the repair to fan out over real workers
+        let n = 12_000;
+        let side = (n as f64 * std::f64::consts::PI / 11.0).sqrt();
+        let region = BoundingBox::with_size(side, side);
+        let base = MaintainedWcds::with_threads(deploy::uniform(n, side, side, 21), 1.0, 1);
+        let mut runs = Vec::new();
+        for threads in [1, 2, 3] {
+            let mut net = base.clone();
+            net.set_threads(threads);
+            let mut reports = Vec::new();
+            for tick in 0..3u64 {
+                let moved = deploy::perturb(net.points(), region, 0.25, 40 + tick);
+                let moves: Vec<(NodeId, Point)> =
+                    (0..64).map(|i| (i * 181 % n, moved[i * 181 % n])).collect();
+                let report = net.apply_motion(&moves);
+                // ≈ 15 % of the ball are MIS anchors: several workers' worth
+                assert!(report.touched_nodes >= 3_000, "tick too small to fan out");
+                reports.push(report);
+            }
+            runs.push((reports, net.wcds(), net.graph().clone()));
+        }
+        assert!(runs.windows(2).all(|w| w.first() == w.last()), "worker count changed a repair");
     }
 
     #[test]

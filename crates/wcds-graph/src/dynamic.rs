@@ -8,9 +8,10 @@
 //! node's old adjacency row plus one 3×3-block probe at its new
 //! position; a join probes once and appends; only a leave (id
 //! compaction renames every node above the leaver) rebuilds the index.
-//! The CSR is then spliced in place through [`Graph::spliced`] /
-//! [`Graph::compacted_without`], which re-merge only the touched
-//! adjacency rows and bulk-copy the rest.
+//! The CSR is then spliced in place through [`Graph::splice`] (moves and
+//! joins: only the touched adjacency rows are re-merged, the rest are
+//! shifted inside the existing arrays) or compacted through
+//! [`Graph::compacted_without`] (leaves).
 //!
 //! Every mutation returns a [`TopoDelta`] — the changed edges plus the
 //! *seed* nodes whose incident edge set changed — which is exactly what
@@ -144,7 +145,7 @@ impl DynamicUdg {
         let mut seeds: Vec<NodeId> = gained.iter().chain(&lost).copied().collect();
         seeds.push(u);
         seeds.sort_unstable();
-        self.graph = self.graph.spliced(self.points.len(), &added, &removed);
+        self.graph.splice(self.points.len(), &added, &removed);
         self.debug_check_against_rebuild();
         TopoDelta { added, removed, seeds }
     }
@@ -204,7 +205,7 @@ impl DynamicUdg {
             added.iter().chain(&removed).flat_map(|&(a, b)| [a, b]).collect();
         seeds.sort_unstable();
         seeds.dedup();
-        self.graph = self.graph.spliced(self.points.len(), &added, &removed);
+        self.graph.splice(self.points.len(), &added, &removed);
         self.debug_check_against_rebuild();
         TopoDelta { added, removed, seeds }
     }
@@ -225,7 +226,7 @@ impl DynamicUdg {
         let added: Vec<(NodeId, NodeId)> = neighbors.iter().map(|&v| (v, n)).collect();
         let mut seeds = neighbors;
         seeds.push(n);
-        self.graph = self.graph.spliced(n + 1, &added, &[]);
+        self.graph.splice(n + 1, &added, &[]);
         self.debug_check_against_rebuild();
         (n, TopoDelta { added, removed: Vec::new(), seeds })
     }

@@ -21,10 +21,10 @@ use std::fmt;
 /// iteration everywhere (important: distributed runs must be replayable)
 /// and `O(log d)` adjacency tests.
 ///
-/// `Graph` is immutable once built; construct one with [`GraphBuilder`],
+/// Construct a `Graph` with [`GraphBuilder`],
 /// [`Graph::from_edges`], or a generator from [`crate::generators`].
-/// Mutation under churn (mobility) is handled by rebuilding — UDG
-/// construction is `O(n + |E|)`, so rebuild cost never dominates.
+/// Mutation under churn (mobility) goes through [`Graph::splice`], which
+/// re-merges only the rows a delta touches and shifts the rest in place.
 ///
 /// # Examples
 ///
@@ -298,40 +298,71 @@ impl Graph {
             })
     }
 
-    /// Reassembles a graph from spliced CSR rows, re-validating the row
-    /// invariants in debug builds.
+    /// Reassembles a graph from compacted CSR rows, re-validating the
+    /// row invariants in debug builds.
     pub(crate) fn from_rows(offsets: Vec<u32>, targets: Vec<u32>, edge_count: usize) -> Graph {
-        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(targets.len()));
-        debug_assert_eq!(targets.len(), edge_count * 2);
-        debug_assert!(offsets.windows(2).all(|w| {
-            let row = &targets[w[0] as usize..w[1] as usize];
-            row.windows(2).all(|p| p[0] < p[1])
+        let g = Graph { offsets, targets, edge_count };
+        g.debug_check_rows();
+        g
+    }
+
+    /// Debug-build check of the CSR invariants a splice or compaction
+    /// must preserve: offsets end at `targets.len() == 2|E|` and every
+    /// row is strictly ascending.
+    fn debug_check_rows(&self) {
+        debug_assert_eq!(self.offsets.last().map(|&o| o as usize), Some(self.targets.len()));
+        debug_assert_eq!(self.targets.len(), self.edge_count * 2);
+        debug_assert!(self.offsets.windows(2).all(|w| {
+            let (lo, hi) = (w.first().copied().unwrap_or(0), w.last().copied().unwrap_or(0));
+            let row = self.targets.get(lo as usize..hi as usize).unwrap_or(&[]);
+            row.windows(2).all(|p| p.first() < p.last())
         }));
-        Graph { offsets, targets, edge_count }
     }
 
     /// A copy of `self` on `n_new` nodes with `added` edges inserted and
-    /// `removed` edges deleted — the incremental-mutation fast path.
-    ///
-    /// `n_new` is the old node count or one more (a splice can append one
-    /// node; dropping one is [`Graph::compacted_without`]'s job). Edge
-    /// lists are canonical `(u, v)` with `u < v`. Untouched adjacency
-    /// rows are copied as bulk spans; only rows incident to a delta edge
-    /// are re-merged, preserving the sorted-targets invariant, so the
-    /// cost is `O(n + |E|)` worth of `memcpy` plus `O(|Δ| log |Δ|)` of
-    /// actual merging — no hashing, no re-sorting of the edge list.
+    /// `removed` edges deleted: `self.clone()` followed by
+    /// [`Graph::splice`], for callers that must keep the original.
     ///
     /// # Panics
     ///
-    /// Panics if `n_new` is out of the allowed range, an endpoint is out
-    /// of range, or an edge list is non-canonical. Debug builds also
-    /// verify each added edge was absent and each removed edge present.
+    /// As [`Graph::splice`].
     pub fn spliced(
         &self,
         n_new: usize,
         added: &[(NodeId, NodeId)],
         removed: &[(NodeId, NodeId)],
     ) -> Graph {
+        let mut g = self.clone();
+        g.splice(n_new, added, removed);
+        g
+    }
+
+    /// Rewrites `self` in place to `n_new` nodes with `added` edges
+    /// inserted and `removed` edges deleted — the incremental-mutation
+    /// fast path.
+    ///
+    /// `n_new` is the old node count or one more (a splice can append one
+    /// node; dropping one is [`Graph::compacted_without`]'s job). Edge
+    /// lists are canonical `(u, v)` with `u < v`. Only rows incident to a
+    /// delta edge are re-merged (into a side buffer, preserving the
+    /// sorted-targets invariant); the untouched spans between them are
+    /// shifted inside `targets` with `copy_within` — right-shifting spans
+    /// right to left, then left-shifting spans left to right, so no span
+    /// overwrites data still to be moved — and the offsets are adjusted
+    /// by each span's shift. No second CSR is allocated: the cost is one
+    /// `O(n + |E|)` memmove plus `O(|Δ| log |Δ|)` of actual merging.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_new` is out of the allowed range, an endpoint is out
+    /// of range, or an edge list is non-canonical. Debug builds also
+    /// verify each added edge was absent and each removed edge present.
+    pub fn splice(
+        &mut self,
+        n_new: usize,
+        added: &[(NodeId, NodeId)],
+        removed: &[(NodeId, NodeId)],
+    ) {
         let n_old = self.node_count();
         assert!(
             n_old == n_new || n_old + 1 == n_new,
@@ -349,43 +380,94 @@ impl Graph {
             patch.entry(u).or_default().1.push(v as u32);
             patch.entry(v).or_default().1.push(u as u32);
         }
-        for (adds, dels) in patch.values_mut() {
-            adds.sort_unstable();
-            dels.sort_unstable();
-        }
         debug_assert!(
             self.edge_count + added.len() >= removed.len(),
             "removed edges exceed the edge count"
         );
-        let edge_count =
-            self.edge_count.saturating_add(added.len()).saturating_sub(removed.len());
+        let edge_count = self.edge_count.saturating_add(added.len()).saturating_sub(removed.len());
         assert!(edge_count * 2 <= u32::MAX as usize, "graph too large for u32 CSR offsets");
-
-        let mut offsets = Vec::with_capacity(n_new + 1);
-        offsets.push(0u32);
-        let mut targets: Vec<u32> = Vec::with_capacity(edge_count * 2);
-        let mut row_cursor = 0; // next row still to emit
-        let copy_span = |from: usize, to: usize, targets: &mut Vec<u32>, offsets: &mut Vec<u32>| {
-            if from >= to {
-                return;
-            }
-            let base = targets.len() as u32;
-            let old_base = self.offsets[from];
-            targets.extend_from_slice(
-                &self.targets[old_base as usize..self.offsets[to] as usize],
-            );
-            offsets.extend((from + 1..=to).map(|r| base + (self.offsets[r] - old_base)));
-        };
-        for (&w, (adds, dels)) in &patch {
-            copy_span(row_cursor, w.min(n_old), &mut targets, &mut offsets);
-            let old_row: &[u32] = if w < n_old { self.neighbors(w) } else { &[] };
-            merge_row(old_row, adds, dels, &mut targets);
-            offsets.push(targets.len() as u32);
-            row_cursor = w + 1;
+        if n_new > n_old {
+            // the appended node starts as an empty row at the end
+            self.offsets.push(self.targets.len() as u32);
         }
-        copy_span(row_cursor, n_old, &mut targets, &mut offsets);
-        offsets.resize(n_new + 1, targets.len() as u32); // appended node with no patch
-        Self::from_rows(offsets, targets, edge_count)
+
+        // merge every touched row into a side buffer before anything
+        // moves; `rows[i]` = (row, merged range, signed length change)
+        let mut merged: Vec<u32> = Vec::new();
+        let mut rows: Vec<(NodeId, std::ops::Range<usize>, i64)> = Vec::with_capacity(patch.len());
+        for (&w, (adds, dels)) in &mut patch {
+            adds.sort_unstable();
+            dels.sort_unstable();
+            let start = merged.len();
+            let old_row = self.neighbors(w);
+            merge_row(old_row, adds, dels, &mut merged);
+            let delta = (merged.len() - start) as i64 - old_row.len() as i64;
+            rows.push((w, start..merged.len(), delta));
+        }
+
+        // untouched span `i` runs from the end of touched row `i - 1` to
+        // the start of touched row `i` (the last one to the end of
+        // `targets`) and moves by the net growth of the rows before it
+        let offset = |offsets: &[u32], r: usize| offsets.get(r).map_or(0, |&o| o as usize);
+        let old_len = self.targets.len();
+        let mut spans: Vec<(std::ops::Range<usize>, i64)> = Vec::with_capacity(rows.len() + 1);
+        let mut span_start = 0;
+        let mut shift = 0i64;
+        for (w, _, delta) in &rows {
+            spans.push((span_start..offset(&self.offsets, *w), shift));
+            span_start = offset(&self.offsets, w + 1);
+            shift += delta;
+        }
+        spans.push((span_start..old_len, shift));
+        let new_len = edge_count * 2;
+        debug_assert_eq!(
+            old_len as i64 + shift,
+            new_len as i64,
+            "row deltas disagree with edge count"
+        );
+
+        if new_len > self.targets.capacity() {
+            // grow by a small slack instead of doubling: under drift the
+            // edge count wanders around a constant, so a doubled buffer
+            // would mostly sit idle yet stay resident
+            self.targets.reserve_exact(new_len - old_len + old_len / 64);
+        }
+        if new_len > old_len {
+            self.targets.resize(new_len, 0);
+        }
+        let moved =
+            |span: &std::ops::Range<usize>, shift: i64| (span.start as i64 + shift) as usize;
+        for (span, shift) in spans.iter().rev().filter(|(_, s)| *s > 0) {
+            self.targets.copy_within(span.clone(), moved(span, *shift));
+        }
+        for (span, shift) in spans.iter().filter(|(_, s)| *s < 0) {
+            self.targets.copy_within(span.clone(), moved(span, *shift));
+        }
+        // write each merged row where its (shifted) start now lies
+        for ((w, range, _), (_, shift)) in rows.iter().zip(&spans) {
+            let at = (offset(&self.offsets, *w) as i64 + shift) as usize;
+            match (self.targets.get_mut(at..at + range.len()), merged.get(range.clone())) {
+                (Some(dst), Some(src)) => dst.copy_from_slice(src),
+                _ => debug_assert!(false, "merged row {w} lies outside the spliced CSR"),
+            }
+        }
+        self.targets.truncate(new_len);
+
+        // offsets `t_{i-1} + 1 ..= t_i` start inside span `i` or at its
+        // end, so they move by that span's shift; the tail span runs
+        // through the final offset
+        let mut first = 0;
+        for (i, (_, shift)) in spans.iter().enumerate() {
+            let last = rows.get(i).map_or(n_new, |(w, _, _)| *w);
+            if *shift != 0 {
+                for o in self.offsets.get_mut(first..=last).unwrap_or_default() {
+                    *o = (i64::from(*o) + shift) as u32;
+                }
+            }
+            first = last + 1;
+        }
+        self.edge_count = edge_count;
+        self.debug_check_rows();
     }
 
     /// A copy of `self` without node `u`: its incident edges vanish and

@@ -51,25 +51,40 @@ pub fn map_indices_with<T, S>(
     T: Send,
     S: Send,
 {
+    let workers = if nthreads <= 1 || out.len() <= 1 { 1 } else { nthreads.min(out.len()) };
+    let mut states: Vec<S> = (0..workers).map(|_| make_state()).collect();
+    map_indices_in(&mut states, out, f);
+}
+
+/// [`map_indices_with`] over caller-owned per-worker state: the indices
+/// are split into `states.len()` contiguous chunks (fewer when `out` is
+/// shorter) and worker `c` runs on `states[c]`, so scratch buffers
+/// survive from one call to the next. One state (or an `out` of at
+/// most one element) runs everything on the calling thread; `states`
+/// must not be empty unless `out` is.
+pub fn map_indices_in<T, S>(states: &mut [S], out: &mut [T], f: impl Fn(&mut S, usize) -> T + Sync)
+where
+    T: Send,
+    S: Send,
+{
     let n = out.len();
-    if nthreads <= 1 || n <= 1 {
-        let mut state = make_state();
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(&mut state, i);
+    debug_assert!(n == 0 || !states.is_empty(), "no worker state for {n} indices");
+    if states.len() <= 1 || n <= 1 {
+        if let Some(state) = states.first_mut() {
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = f(state, i);
+            }
         }
         return;
     }
-    let nthreads = nthreads.min(n);
-    let chunk = n.div_ceil(nthreads);
+    let chunk = n.div_ceil(states.len().min(n));
     std::thread::scope(|scope| {
-        for (c, slots) in out.chunks_mut(chunk).enumerate() {
-            let make_state = &make_state;
+        for (c, (slots, state)) in out.chunks_mut(chunk).zip(states.iter_mut()).enumerate() {
             let f = &f;
             scope.spawn(move || {
-                let mut state = make_state();
                 let base = c * chunk;
                 for (j, slot) in slots.iter_mut().enumerate() {
-                    *slot = f(&mut state, base + j);
+                    *slot = f(state, base + j);
                 }
             });
         }
@@ -103,6 +118,23 @@ mod tests {
             let got = map_indices(nthreads, 97, || 7u64, |s, i| (i * i) as u64 + *s);
             assert_eq!(got, want, "nthreads {nthreads}");
         }
+    }
+
+    #[test]
+    fn caller_owned_states_persist_across_calls() {
+        // each state counts the indices it served; the counts survive
+        // into the next call and cover every index of both calls
+        let mut states = vec![0usize; 3];
+        for _ in 0..2 {
+            let mut out = vec![0usize; 10];
+            map_indices_in(&mut states, &mut out, |calls, i| {
+                *calls += 1;
+                i * 2
+            });
+            assert_eq!(out, (0..10).map(|i| i * 2).collect::<Vec<_>>());
+        }
+        assert_eq!(states.iter().sum::<usize>(), 20);
+        assert!(states.iter().all(|&c| c > 0), "every worker served a chunk: {states:?}");
     }
 
     #[test]

@@ -155,6 +155,15 @@ pub fn connected_components(g: &Graph) -> Vec<Vec<NodeId>> {
     comps
 }
 
+/// The connected component containing `u`, sorted ascending.
+pub fn component_of(g: &Graph, u: NodeId) -> Vec<NodeId> {
+    bfs_distances(g, u)
+        .iter()
+        .enumerate()
+        .filter_map(|(v, d)| d.map(|_| v))
+        .collect()
+}
+
 /// Whether the whole graph is connected.
 ///
 /// The empty graph and singletons count as connected, matching the usual

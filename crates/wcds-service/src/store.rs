@@ -179,8 +179,10 @@ impl Bundle {
 enum Body {
     /// Edge-only ingest: immutable, WCDS built from the graph alone.
     Static(Graph),
-    /// Position-carrying ingest: mutable through §4.2 maintenance.
-    Mobile(MaintainedWcds),
+    /// Position-carrying ingest: mutable through §4.2 maintenance
+    /// (boxed: the maintenance state, with its reusable repair scratch,
+    /// is several times the size of a bare graph).
+    Mobile(Box<MaintainedWcds>),
 }
 
 impl Body {
@@ -1090,7 +1092,7 @@ impl Store {
         let doc = io::from_text(payload)
             .map_err(|e| err(ErrorCode::BadPayload, format!("payload: {e}")))?;
         let body = match doc.points {
-            Some(points) => Body::Mobile(MaintainedWcds::new(points, UDG_RADIUS)),
+            Some(points) => Body::Mobile(Box::new(MaintainedWcds::new(points, UDG_RADIUS))),
             None => Body::Static(doc.graph),
         };
         let (n, m) = (body.graph().node_count() as u64, body.graph().edge_count() as u64);
