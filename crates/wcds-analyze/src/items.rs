@@ -951,7 +951,7 @@ mod tests {
 
     #[test]
     fn condvar_wait_releases_the_passed_guard() {
-        let src = "fn f(e: &E) {\n  let mut table = e.leases.lock().map_err(|_| x)?;\n  table = e.cv.wait(table).map_err(|_| x)?;\n}\n";
+        let src = "fn f(e: &E) {\n  let mut table = e.queue.lock().map_err(|_| x)?;\n  table = e.cv.wait(table).map_err(|_| x)?;\n}\n";
         let fns = parse(src);
         assert_eq!(fns[0].blocking.len(), 1);
         assert!(fns[0].blocking[0].held.is_empty(), "{:?}", fns[0].blocking[0].held);

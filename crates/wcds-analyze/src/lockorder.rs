@@ -5,7 +5,7 @@
 //!
 //! * **lock-order** — builds the "acquired-while-held" digraph over
 //!   lock classes (shard `RwLock`s, per-entry `topo`/`published`
-//!   locks, the `LeaseTable` mutex, `OnceLock` plan inits, …). An edge
+//!   locks, `OnceLock` plan inits, …). An edge
 //!   `A → B` means some code path acquires `B` while holding `A`,
 //!   directly or through calls. A cycle (including a self-loop: two
 //!   instances of the same class, e.g. two shards) is a potential

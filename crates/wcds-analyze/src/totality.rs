@@ -102,10 +102,7 @@ fn response_seeds() -> Vec<Response> {
             routes_degraded: 3,
             routes_unreachable: 1,
             heals: 1,
-            lease_waits: 6,
-            lease_conflicts: 9,
             batched_mutations: 320,
-            concurrent_repairs_max: 4,
             snapshot_reads: 77,
             pipeline_depth_max: 32,
             syscalls: 5120,
@@ -116,7 +113,6 @@ fn response_seeds() -> Vec<Response> {
             applied: 16,
             promoted: 2,
             demoted: 1,
-            lease_wait_us: 350,
         },
         Response::Topologies { names: vec!["a".into(), "b".into()] },
         Response::Hardened {

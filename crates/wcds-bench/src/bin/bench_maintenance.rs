@@ -20,9 +20,10 @@
 //! city-scale fields, which are never globally connected. Pass
 //! `--quick` for the CI smoke size.
 //!
-//! A second section sweeps the **batched drift path** — 16-move ticks
-//! planned into region-lease waves ([`plan_batch`]) with each wave
-//! coalesced into one `apply_motion` — across 1/2/4/8 repair workers.
+//! A second section sweeps the **batched drift path** — 16-move ticks,
+//! each coalesced into one `apply_motion` exactly as the service
+//! store applies a `MutateBatch` move run — across 1/2/4/8 repair
+//! workers.
 //! The final topology must be byte-identical at every thread count
 //! (the engine is thread-count-invariant by construction); throughput
 //! rows land in the JSON per `(n, threads)`. Monotone thread scaling
@@ -34,7 +35,6 @@
 use wcds_bench::perf::{time_ms, write_bench_json, BenchRow};
 use wcds_bench::util::{side_for_avg_degree, Scale};
 use wcds_core::algo2::AlgorithmTwo;
-use wcds_core::maintenance::lease::{claim_cells, plan_batch, Scope};
 use wcds_core::maintenance::MaintainedWcds;
 use wcds_geom::{deploy, Point};
 use wcds_graph::traversal::component_of;
@@ -170,18 +170,7 @@ fn run_thread_sweep(n: usize, ticks: usize) -> (usize, Vec<(usize, f64)>) {
                         (u, q)
                     })
                     .collect();
-                let claims: Vec<Scope> = moves
-                    .iter()
-                    .map(|&(u, q)| {
-                        Scope::Cells(claim_cells(&[net.points()[u], q], RADIUS))
-                    })
-                    .collect();
-                let plan = plan_batch(&claims);
-                for wave in &plan.waves {
-                    let batch: Vec<(usize, Point)> =
-                        wave.iter().map(|&i| moves[i]).collect();
-                    net.apply_motion(&batch);
-                }
+                net.apply_motion(&moves);
             }
         });
         let export = io::to_text(net.graph(), Some(net.points()));

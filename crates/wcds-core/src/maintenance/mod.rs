@@ -46,7 +46,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use wcds_geom::Point;
 use wcds_graph::{DynamicUdg, Graph, NodeId};
 
-pub mod lease;
 pub(crate) mod region;
 pub use region::select_additional_dominators_in;
 
@@ -94,8 +93,9 @@ pub struct MaintainedWcds {
     anchors: Vec<BallScratch>,
 }
 
-/// Refresh anchors per repair worker: a repair spawns at most one worker
-/// per this many anchors (and at most [`MaintainedWcds::threads`]), so
+/// Refresh anchors per repair worker: a repair (sparse or dense) spawns
+/// at most one worker per this many anchors (and at most
+/// [`MaintainedWcds::threads`]), so
 /// a worker's share of per-anchor searches (a few µs each) outweighs
 /// its spawn cost. Single mutations and small batches stay on the
 /// calling thread; a 64-move city-scale tick (≈ 700 anchors) fans out.
@@ -247,13 +247,6 @@ impl MaintainedWcds {
         self.udg.points()
     }
 
-    /// The unit-disk radius. Also the cell size of the topology's
-    /// spatial grid, and therefore the cell size region leases claim
-    /// against (see [`lease`]).
-    pub fn radius(&self) -> f64 {
-        self.udg.radius()
-    }
-
     /// The current WCDS.
     pub fn wcds(&self) -> Wcds {
         Wcds::new(self.mis_nodes(), self.bridge_refs.keys().copied().collect())
@@ -356,8 +349,9 @@ impl MaintainedWcds {
             // function of (graph, MIS, anchor), so anchors outside the
             // ball recompute to their old values and the result is
             // identical to the incremental path (debug-asserted below).
-            let per_anchor =
-                crate::partition::bridge_contributions(g, &self.mis_nodes(), self.threads);
+            let mis = self.mis_nodes();
+            let workers = (mis.len() / ANCHORS_PER_WORKER).clamp(1, self.threads);
+            let per_anchor = crate::partition::bridge_contributions(g, &mis, workers);
             let old_bridges: Vec<NodeId> = self.bridge_refs.keys().copied().collect();
             self.contrib.clear();
             self.bridge_refs.clear();

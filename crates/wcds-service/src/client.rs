@@ -331,13 +331,11 @@ impl Client {
     }
 
     /// Ships a whole mutation batch (a drift tick) in one frame,
-    /// applied under a single region lease with coalesced repairs.
-    /// All-or-nothing: any invalid id rejects the batch server-side
-    /// before anything is applied. The returned outcome's epoch is the
-    /// batch's final position in the topology's mutation log — a batch
-    /// of `applied` mutations occupied epochs
-    /// `epoch − applied + 1 ..= epoch` — and `lease_wait_us` is the
-    /// admission queueing time, excluded from service time.
+    /// applied with coalesced repairs. All-or-nothing: any invalid id
+    /// rejects the batch server-side before anything is applied. The
+    /// returned outcome's epoch is the batch's final position in the
+    /// topology's mutation log — a batch of `applied` mutations
+    /// occupied epochs `epoch − applied + 1 ..= epoch`.
     ///
     /// # Errors
     ///
@@ -350,8 +348,8 @@ impl Client {
     ) -> Result<BatchOutcome, ClientError> {
         let req = Request::MutateBatch { name: name.into(), mutations: mutations.to_vec() };
         match self.call(&req)? {
-            Response::BatchMutated { epoch, applied, promoted, demoted, lease_wait_us } => {
-                Ok(BatchOutcome { epoch, applied, promoted, demoted, lease_wait_us })
+            Response::BatchMutated { epoch, applied, promoted, demoted } => {
+                Ok(BatchOutcome { epoch, applied, promoted, demoted })
             }
             _ => Err(ClientError::Protocol("expected BatchMutated")),
         }

@@ -108,9 +108,7 @@ pub enum Request {
     /// Rebuilds the bundle eagerly and enables degraded-mode serving.
     Harden { name: String, k: u64, m: u64 },
     /// Apply a whole vector of mutations in one frame (a drift tick).
-    /// The batch is admitted through the region-lease scheduler:
-    /// mutations on disjoint 3-balls coalesce into concurrent repair
-    /// waves, conflicting ones apply in FIFO order, and the final state
+    /// Each run of moves coalesces into one repair, and the final state
     /// is byte-identical to applying the same mutations one
     /// [`Request::Mutate`] at a time. Validation is all-or-nothing: an
     /// out-of-range node id anywhere in the batch rejects the whole
@@ -197,18 +195,8 @@ pub struct TopologyStats {
     pub routes_unreachable: u64,
     /// Background heals that installed a fresh bundle.
     pub heals: u64,
-    /// Mutations that had to wait behind a conflicting earlier claim in
-    /// the region-lease scheduler (queued live admissions plus batch
-    /// mutations scheduled into a later repair wave).
-    pub lease_waits: u64,
-    /// Conflicting (claim, earlier-claim) pairs the lease scheduler
-    /// detected.
-    pub lease_conflicts: u64,
     /// Mutations received through [`Request::MutateBatch`] frames.
     pub batched_mutations: u64,
-    /// Peak number of repairs admitted concurrently (widest batch wave
-    /// or largest granted lease set observed).
-    pub concurrent_repairs_max: u64,
     /// Lock-free published-bundle snapshot loads for this topology
     /// (every read that resolved through the atomic snapshot cell).
     pub snapshot_reads: u64,
@@ -322,20 +310,15 @@ pub enum Response {
     /// a proportional payload back.
     BatchMutated {
         /// Epoch after the whole batch; the batch's mutations occupy
-        /// epochs `epoch - applied + 1 ..= epoch` in lease-commit
-        /// order.
+        /// epochs `epoch - applied + 1 ..= epoch` in commit order.
         epoch: u64,
-        /// Mutations applied (the full batch; admission is
+        /// Mutations applied (the full batch; validation is
         /// all-or-nothing).
         applied: u64,
         /// Nodes that became dominators over the whole batch.
         promoted: u64,
         /// Nodes that stopped being dominators over the whole batch.
         demoted: u64,
-        /// Microseconds the batch spent queued behind conflicting
-        /// leases before its repairs ran — excluded from service time
-        /// by accounting clients.
-        lease_wait_us: u64,
     },
 }
 
@@ -667,10 +650,7 @@ impl TopologyStats {
             self.routes_degraded,
             self.routes_unreachable,
             self.heals,
-            self.lease_waits,
-            self.lease_conflicts,
             self.batched_mutations,
-            self.concurrent_repairs_max,
             self.snapshot_reads,
             self.pipeline_depth_max,
             self.syscalls,
@@ -699,10 +679,7 @@ impl TopologyStats {
             routes_degraded: r.u64()?,
             routes_unreachable: r.u64()?,
             heals: r.u64()?,
-            lease_waits: r.u64()?,
-            lease_conflicts: r.u64()?,
             batched_mutations: r.u64()?,
-            concurrent_repairs_max: r.u64()?,
             snapshot_reads: r.u64()?,
             pipeline_depth_max: r.u64()?,
             syscalls: r.u64()?,
@@ -787,9 +764,9 @@ impl Response {
                 put_u64(&mut out, u64::from(*unreachable));
                 out
             }
-            Response::BatchMutated { epoch, applied, promoted, demoted, lease_wait_us } => {
+            Response::BatchMutated { epoch, applied, promoted, demoted } => {
                 let mut out = header(14);
-                for v in [epoch, applied, promoted, demoted, lease_wait_us] {
+                for v in [epoch, applied, promoted, demoted] {
                     put_u64(&mut out, *v);
                 }
                 out
@@ -852,7 +829,6 @@ impl Response {
                 applied: r.u64()?,
                 promoted: r.u64()?,
                 demoted: r.u64()?,
-                lease_wait_us: r.u64()?,
             },
             tag => return Err(WireError::UnknownTag { what: "response", tag }),
         };
@@ -1162,10 +1138,7 @@ mod tests {
             routes_degraded: 7,
             routes_unreachable: 1,
             heals: 3,
-            lease_waits: 9,
-            lease_conflicts: 14,
             batched_mutations: 640,
-            concurrent_repairs_max: 6,
             snapshot_reads: 77,
             pipeline_depth_max: 32,
             syscalls: 5120,
@@ -1200,8 +1173,37 @@ mod tests {
             applied: 16,
             promoted: 2,
             demoted: 1,
-            lease_wait_us: 350,
         });
+    }
+
+    /// A peer still on the layout that carried region-lease counters —
+    /// three more `u64`s in `StatsOk` (after `heals`), one more in
+    /// `BatchMutated` — must be rejected with a typed error, never
+    /// decoded into shifted fields.
+    #[test]
+    fn bodies_in_the_lease_counter_layout_are_rejected() {
+        let stats = Response::StatsOk(TopologyStats {
+            nodes: 100,
+            epoch: 3,
+            heals: 2,
+            batched_mutations: 64,
+            ..TopologyStats::default()
+        });
+        let mut old = stats.encode();
+        // current body: version, tag, 16 u64 through `heals`, then
+        // `batched_mutations`; the old layout put the lease waits and
+        // conflicts before it and the peak concurrency after it
+        let heals_end = 2 + 16 * 8;
+        old.splice(heals_end..heals_end, [0u8; 16]);
+        let batched_end = heals_end + 16 + 8;
+        old.splice(batched_end..batched_end, [0u8; 8]);
+        assert_eq!(old.len(), stats.encode().len() + 24);
+        assert_eq!(Response::decode(&old).unwrap_err(), WireError::TrailingBytes(24));
+
+        let batch = Response::BatchMutated { epoch: 640, applied: 16, promoted: 2, demoted: 1 };
+        let mut old = batch.encode();
+        put_u64(&mut old, 350); // the trailing lease-wait microseconds
+        assert_eq!(Response::decode(&old).unwrap_err(), WireError::TrailingBytes(8));
     }
 
     #[test]

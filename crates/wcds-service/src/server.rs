@@ -385,7 +385,6 @@ pub(crate) fn handle(store: &Store, req: &Request) -> Response {
                 applied: out.applied,
                 promoted: out.promoted,
                 demoted: out.demoted,
-                lease_wait_us: out.lease_wait_us,
             },
             Err(e) => e.into(),
         },

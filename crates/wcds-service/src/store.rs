@@ -1,5 +1,4 @@
-//! Sharded, epoch-cached topology store with region-lease mutation
-//! scheduling.
+//! Sharded, epoch-cached topology store with single-writer mutations.
 //!
 //! Named topologies live in a fixed array of copy-on-write shards
 //! (selected by name hash) behind lock-free [`SnapCell`] snapshots:
@@ -8,21 +7,15 @@
 //!
 //! * a **mutation epoch**: a per-topology atomic, 0 at ingest,
 //!   advanced once per applied maintenance mutation (join / leave /
-//!   move, executed by `wcds_core::maintenance::MaintainedWcds`) in
-//!   lease-commit order while the topology write lock is held;
+//!   move, executed by `wcds_core::maintenance::MaintainedWcds`)
+//!   while the topology write lock is held, so mutations on one
+//!   topology are single-writer and the epoch is their commit order;
 //! * a **published artifact bundle** — Algorithm II WCDS, the
 //!   weakly-induced spanner, clusterhead routing tables, and the
 //!   backbone broadcast plan (itself derived only on the first
 //!   broadcast query) — stamped with the epoch it was built at and
 //!   published through a lock-free [`SnapCell`] snapshot, so readers
-//!   never block on a repair and a cache hit takes **zero** locks;
-//! * a **region-lease table** (`wcds_core::maintenance::lease`): a
-//!   mutation claims the grid cells conservatively covering
-//!   `ball(site, 3)` before touching the topology. Disjoint claims
-//!   are admitted concurrently; overlapping claims queue FIFO on a
-//!   condvar — crucially *without* holding the topology lock, so a
-//!   queued mutation blocks neither readers nor disjoint writers,
-//!   and the wait is accounted separately from service time.
+//!   never block on a repair and a cache hit takes **zero** locks.
 //!
 //! A query whose bundle stamp equals the current epoch is a **cache
 //! hit** and is served entirely from the atomic snapshot — no
@@ -30,13 +23,12 @@
 //! by `cache_hit_reads_take_zero_rwlocks`). A mutation
 //! advances the epoch; the next query observes the stale stamp,
 //! rebuilds under the topology write lock, and republishes.
-//! [`Store::mutate_batch`] applies a whole drift tick under one
-//! lease: its move-runs are planned into FIFO waves of pairwise
-//! disjoint claims and each wave is coalesced into a single
-//! `apply_motion` worklist pass (one cascade over the union of the
-//! disturbed regions, refresh sweeps fanned out on the parallel
-//! engine). Hit / miss / rebuild / lease counters are atomics so the
-//! read path never needs a write lock.
+//! [`Store::mutate_batch`] validates and applies a whole drift tick
+//! under one write-lock acquisition, all-or-nothing: each maximal
+//! `Move` run is coalesced into a single `apply_motion` worklist pass
+//! (one cascade over the union of the disturbed regions, refresh
+//! sweeps fanned out on the parallel engine). Hit / miss / rebuild
+//! counters are atomics so the read path never needs a write lock.
 
 use crate::protocol::{ErrorCode, Mutation, TopologyStats};
 use crate::rebuild::{read_check, write_check, EpochView, ReadDecision, WriteDecision};
@@ -47,9 +39,7 @@ use std::hash::{Hash, Hasher};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Instant;
 use wcds_core::algo2::AlgorithmTwo;
-use wcds_core::maintenance::lease::{plan_batch, site_cells, Admission, LeaseTable, Scope, Ticket};
 use wcds_core::maintenance::{MaintainedWcds, RepairReport};
 use wcds_core::resilient::{ResilientBackbone, ResilientParams};
 use wcds_core::Wcds;
@@ -299,20 +289,21 @@ impl Topology {
 
 /// One stored topology: maintained state behind its own `RwLock`, the
 /// published bundle in a lock-free [`SnapCell`] (so readers never
-/// block on a repair — or on anything), the lease table behind a
-/// mutex + condvar, and counters outside all of them.
+/// block on a repair — or on anything), the mutation [`WriterQueue`],
+/// and counters outside all of them.
 ///
 /// **Lock discipline:** no code path acquires one of this entry's
 /// locks while holding another. Writers snapshot `published` *before*
-/// taking the topology lock and publish *after* dropping it; lease
-/// admission happens entirely before the topology lock is touched.
-/// That ordering is what makes the nested-lock lint trivially clean
-/// and deadlock impossible by construction.
+/// taking the topology lock and publish *after* dropping it; a
+/// mutation waits for its queue turn with no lock held and takes the
+/// topology lock only after the queue's mutex is released. That
+/// ordering is what makes the nested-lock lint trivially clean and
+/// deadlock impossible by construction.
 #[derive(Debug)]
 struct Entry {
     topo: RwLock<Topology>,
     /// Mutation epoch: 0 at ingest, advanced once per applied mutation
-    /// (in lease-commit order) while the topology write lock is held —
+    /// while the topology write lock is held —
     /// so it is frozen under that lock, and lock-free to read.
     epoch: AtomicU64,
     /// The published artifact bundle. Replaced only through
@@ -336,11 +327,6 @@ struct Entry {
     /// Published-bundle snapshot loads ([`Entry::load_published`]):
     /// every read that resolved through the lock-free cell.
     snapshot_reads: AtomicU64,
-    /// Region-lease table scheduling mutation admission (see
-    /// [`wcds_core::maintenance::lease`]).
-    leases: Mutex<LeaseTable>,
-    /// Wakes queued claims when a lease release admits them.
-    lease_cv: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     rebuilds: AtomicU64,
@@ -354,18 +340,10 @@ struct Entry {
     heals: AtomicU64,
     /// Guards against stacking heal threads: only one in flight.
     healing: AtomicBool,
-    /// Admissions that had to queue behind a conflicting claim (live
-    /// requests) plus batch mutations planned into a wave later than
-    /// the first.
-    lease_waits: AtomicU64,
-    /// Conflicting (claim, earlier-claim) pairs observed at admission
-    /// and wave-planning time.
-    lease_conflicts: AtomicU64,
     /// Mutations received through [`Store::mutate_batch`].
     batched_mutations: AtomicU64,
-    /// High-water mark of concurrently admitted repairs (live leases in
-    /// flight, or the widest batch wave).
-    concurrent_repairs_max: AtomicU64,
+    /// Arrival-order admission for mutations.
+    writers: WriterQueue,
 }
 
 /// `stamp` value meaning "no bundle has ever been published".
@@ -383,8 +361,6 @@ impl Entry {
             hardened_k: AtomicU64::new(0),
             hardened_m: AtomicU64::new(0),
             snapshot_reads: AtomicU64::new(0),
-            leases: Mutex::new(LeaseTable::new()),
-            lease_cv: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
@@ -393,10 +369,8 @@ impl Entry {
             routes_unreachable: AtomicU64::new(0),
             heals: AtomicU64::new(0),
             healing: AtomicBool::new(false),
-            lease_waits: AtomicU64::new(0),
-            lease_conflicts: AtomicU64::new(0),
             batched_mutations: AtomicU64::new(0),
-            concurrent_repairs_max: AtomicU64::new(0),
+            writers: WriterQueue::default(),
         }
     }
 
@@ -456,43 +430,45 @@ fn publish(entry: &Entry, bundle: Arc<Bundle>) {
     }
 }
 
-/// Claims `scope` on the entry's lease table. Disjoint claims are
-/// admitted immediately; a conflicting claim queues FIFO on the
-/// condvar until every older conflicting lease is released. Returns
-/// the ticket and the admission wait in microseconds — queueing, not
-/// service, reported separately so tail-latency numbers describe
-/// repair work.
-///
-/// Deadlock-free by construction: acquisition is all-or-nothing (a
-/// claim never holds some cells while waiting for others) and the
-/// caller holds no other lock.
-fn acquire_lease(entry: &Entry, scope: Scope) -> Result<(Ticket, u64), StoreError> {
-    let poisoned = || err(ErrorCode::Internal, "lease table poisoned by a panicked holder");
-    let mut table = entry.leases.lock().map_err(|_| poisoned())?;
-    let (ticket, admission) = table.acquire(scope);
-    if admission == Admission::Granted {
-        entry.concurrent_repairs_max.fetch_max(table.in_flight() as u64, Ordering::Relaxed);
-        return Ok((ticket, 0));
-    }
-    entry.lease_waits.fetch_add(1, Ordering::Relaxed);
-    entry.lease_conflicts.fetch_add(1, Ordering::Relaxed);
-    let started = Instant::now();
-    while !table.is_granted(ticket) {
-        table = entry.lease_cv.wait(table).map_err(|_| poisoned())?;
-    }
-    entry.concurrent_repairs_max.fetch_max(table.in_flight() as u64, Ordering::Relaxed);
-    Ok((ticket, u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)))
+/// Arrival-order admission for mutations. `std::sync::RwLock` does not
+/// order writers: a client looping on `mutate_batch` re-takes the
+/// write lock before a woken waiter runs, and can starve a lone
+/// `mutate` indefinitely. Each mutation draws a ticket and takes the
+/// topology write lock only on its turn, so mutations on one topology
+/// commit in arrival order and none waits behind more than the ones
+/// that arrived before it.
+#[derive(Debug, Default)]
+struct WriterQueue {
+    /// (next ticket to hand out, ticket whose turn it is).
+    tickets: Mutex<(u64, u64)>,
+    /// Signalled whenever the turn advances.
+    turn: Condvar,
 }
 
-/// Releases a lease and wakes the waiters the release admitted (the
-/// condvar is notified after the table lock is dropped).
-fn release_lease(entry: &Entry, ticket: Ticket) {
-    let admitted = match entry.leases.lock() {
-        Ok(mut table) => table.release(ticket),
-        Err(_) => return, // poisoned: the store is already failing Internal
-    };
-    if !admitted.is_empty() {
-        entry.lease_cv.notify_all();
+impl WriterQueue {
+    /// Blocks until the caller's turn; the turn passes on when the
+    /// returned [`Turn`] drops (also on unwinding).
+    fn enter(&self) -> Result<Turn<'_>, StoreError> {
+        let poisoned = || err(ErrorCode::Internal, "writer queue poisoned by a panicked writer");
+        let mut t = self.tickets.lock().map_err(|_| poisoned())?;
+        let ticket = t.0;
+        t.0 += 1;
+        while t.1 != ticket {
+            t = self.turn.wait(t).map_err(|_| poisoned())?;
+        }
+        Ok(Turn(self))
+    }
+}
+
+/// A mutation's turn in its entry's [`WriterQueue`].
+struct Turn<'a>(&'a WriterQueue);
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut t) = self.0.tickets.lock() {
+            t.1 += 1;
+        }
+        self.0.turn.notify_all();
     }
 }
 
@@ -559,9 +535,6 @@ pub struct BatchOutcome {
     pub promoted: u64,
     /// Total dominator demotions across the batch's repairs.
     pub demoted: u64,
-    /// Time the batch spent queued for its lease, in microseconds —
-    /// admission wait, excluded from service time.
-    pub lease_wait_us: u64,
 }
 
 /// Saturating `usize → u32` for unreachable-node counts.
@@ -581,107 +554,27 @@ fn oob_err(node: NodeId, n: usize) -> StoreError {
     err(ErrorCode::OutOfRange, format!("node {node} ≥ n = {n}"))
 }
 
-/// Computes the conservative grid-cell claim for one mutation against a
-/// topology snapshot, validating what can be validated before the lease
-/// is taken (mobility, id range). Claims use cell radius arithmetic
-/// only — [`wcds_core::maintenance::lease::CLAIM_RADIUS_CELLS`] cells
-/// around every disturbed site, the grid cell being the radio radius —
-/// so no graph walk runs before admission, and the claim travels in
-/// site form ([`Scope::Blocks`]) so admission never materializes the
-/// block cells. A `Leave` claims [`Scope::All`]: id compaction renames
-/// every node above the victim, so nothing may be admitted
-/// concurrently with it.
-fn claim_for(name: &str, topo: &Topology, mutation: &Mutation) -> Result<Scope, StoreError> {
-    let Body::Mobile(m) = &topo.body else {
-        return Err(static_err(name));
-    };
-    let cell = m.radius();
-    match *mutation {
-        Mutation::Join { x, y } => Ok(Scope::Blocks(site_cells(&[Point::new(x, y)], cell))),
-        Mutation::Leave { node } => {
-            if node >= m.graph().node_count() {
-                return Err(oob_err(node, m.graph().node_count()));
-            }
-            Ok(Scope::All)
-        }
-        Mutation::Move { node, x, y } => {
-            let old = m
-                .points()
-                .get(node)
-                .copied()
-                .ok_or_else(|| oob_err(node, m.graph().node_count()))?;
-            Ok(Scope::Blocks(site_cells(&[old, Point::new(x, y)], cell)))
-        }
-    }
-}
-
-/// Validates a whole batch against a topology snapshot and computes
-/// each mutation's claim. All-or-nothing: any invalid id rejects the
-/// batch before anything is applied. Ids are interpreted in
-/// batch-application order — a `Leave` shifts later ids exactly as the
-/// serial replay would — by simulating the position vector on a local
-/// clone, never touching the real state.
-fn batch_claims(
-    name: &str,
-    topo: &Topology,
-    mutations: &[Mutation],
-) -> Result<Vec<Scope>, StoreError> {
-    let Body::Mobile(m) = &topo.body else {
-        return Err(static_err(name));
-    };
-    let cell = m.radius();
-    let mut pts: Vec<Point> = m.points().to_vec();
-    let mut claims = Vec::with_capacity(mutations.len());
+/// Validates a whole batch against the node count `n` it will start
+/// from, before anything is applied. Ids are interpreted in
+/// batch-application order, exactly as a serial replay would: a `Join`
+/// adds a node, a `Leave` removes one (shifting later ids down).
+fn validate_batch(mut n: usize, mutations: &[Mutation]) -> Result<(), StoreError> {
     for mu in mutations {
         match *mu {
-            Mutation::Join { x, y } => {
-                let p = Point::new(x, y);
-                pts.push(p);
-                claims.push(Scope::Blocks(site_cells(&[p], cell)));
+            Mutation::Join { .. } => n += 1,
+            Mutation::Leave { node } | Mutation::Move { node, .. } if node >= n => {
+                return Err(oob_err(node, n));
             }
-            Mutation::Leave { node } => {
-                if node >= pts.len() {
-                    return Err(oob_err(node, pts.len()));
-                }
-                pts.remove(node);
-                claims.push(Scope::All);
-            }
-            Mutation::Move { node, x, y } => {
-                let p = Point::new(x, y);
-                let n = pts.len();
-                let slot = pts.get_mut(node).ok_or_else(|| oob_err(node, n))?;
-                let old = *slot;
-                *slot = p;
-                claims.push(Scope::Blocks(site_cells(&[old, p], cell)));
-            }
+            Mutation::Leave { .. } => n -= 1,
+            Mutation::Move { .. } => {}
         }
     }
-    Ok(claims)
+    Ok(())
 }
 
-/// Folds per-mutation claims into the single batch-level lease scope.
-/// The store only emits site-form claims (`Blocks` / `All`), so the
-/// union stays in site form — one sorted, deduplicated site list per
-/// batch, never a materialized cell set. Explicit `Cells` claims (none
-/// today) are widened to the blocks around them, which is conservative
-/// and therefore safe for a scheduling predicate.
-fn union_scope(claims: &[Scope]) -> Scope {
-    let mut sites = Vec::new();
-    for c in claims {
-        match c {
-            Scope::All => return Scope::All,
-            Scope::Blocks(v) | Scope::Cells(v) => sites.extend_from_slice(v),
-        }
-    }
-    // sorted + deduped is the Scope list invariant
-    sites.sort_unstable();
-    sites.dedup();
-    Scope::Blocks(sites)
-}
-
-/// Splits a batch into maximal `Move` runs (coalesced into repair
-/// waves) and single `Join` / `Leave` barriers (membership changes
-/// alter the id space, so they serialize).
+/// Splits a batch into maximal `Move` runs (each coalesced into one
+/// repair) and single `Join` / `Leave` barriers (membership changes
+/// alter the id space, so they apply one at a time).
 fn segments(mutations: &[Mutation]) -> Vec<&[Mutation]> {
     let mut out = Vec::new();
     let mut rest = mutations;
@@ -719,8 +612,8 @@ fn patch_bundle(g: &Graph, prior: &Bundle, report: &RepairReport, epoch: u64) ->
     })
 }
 
-/// Applies one mutation under the topology write lock (the caller
-/// already holds the lease). Returns the post-mutation epoch, the
+/// Applies one mutation under the topology write lock, validating its
+/// node id there. Returns the post-mutation epoch, the
 /// repair report, and — when the repair preserved every dominator and
 /// the previously published bundle was exactly one epoch behind — a
 /// patched bundle for the caller to publish after the lock is dropped.
@@ -773,19 +666,20 @@ fn apply_one(
     Ok((epoch, report, patch))
 }
 
-/// Applies a validated batch under the topology write lock, walking
-/// its segments in order: each `Move` run is wave-planned for the
-/// admission counters and then coalesced into **one** `apply_motion`
-/// repair (one worklist pass over the union of the run's disturbed
-/// regions); `Join` / `Leave` segments apply singly. Maintains a
-/// running patched-bundle chain (dropped on dominator churn, a leave,
-/// or a hardened topology) so a quiet batch still leaves the cache
-/// hot.
+/// Validates a batch and applies it under one topology write-lock
+/// acquisition, all-or-nothing: an invalid id anywhere rejects the
+/// batch before any mutation applies, and no other writer can change
+/// the id space between the check and the application. Walks the
+/// segments in order: each `Move` run is coalesced into **one**
+/// `apply_motion` repair (one worklist pass over the union of the
+/// run's disturbed regions); `Join` / `Leave` segments apply singly.
+/// Maintains a running patched-bundle chain (dropped on dominator
+/// churn, a leave, or a hardened topology) so a quiet batch still
+/// leaves the cache hot.
 fn apply_batch(
     entry: &Entry,
     name: &str,
     mutations: &[Mutation],
-    claims: &[Scope],
 ) -> Result<(BatchOutcome, Option<Arc<Bundle>>), StoreError> {
     let prior = entry.load_published();
     let mut topo = write_guard(&entry.topo)?;
@@ -794,6 +688,7 @@ fn apply_batch(
     let Body::Mobile(m) = &mut t.body else {
         return Err(static_err(name));
     };
+    validate_batch(m.graph().node_count(), mutations)?;
     let mut epoch = entry.epoch.load(Ordering::Acquire);
     // the chain invariant: `chain` is Some(b) only while b.epoch equals
     // the running epoch, i.e. the bundle is exactly current
@@ -801,79 +696,40 @@ fn apply_batch(
     let mut promoted = 0u64;
     let mut demoted = 0u64;
     let mut leave_seen = false;
-    let mut off = 0usize;
     for seg in segments(mutations) {
-        let seg_claims = claims.get(off..off + seg.len()).unwrap_or(&[]);
-        off += seg.len();
-        match seg.first() {
+        let (report, step) = match seg.first() {
             Some(Mutation::Move { .. }) => {
-                // the wave plan is *accounting*: what the live table
-                // would have admitted had each move arrived alone
-                // (waits, conflict pairs, peak admissible concurrency).
-                // Application does not serialize on it — the maintained
-                // state is a pure function of the final positions
-                // (release-asserted against serial replay), so the
-                // whole run coalesces into ONE worklist repair over the
-                // union of its disturbed regions
-                let plan = plan_batch(seg_claims);
-                entry.lease_waits.fetch_add(plan.waits, Ordering::Relaxed);
-                entry.lease_conflicts.fetch_add(plan.conflicts, Ordering::Relaxed);
-                entry
-                    .concurrent_repairs_max
-                    .fetch_max(plan.max_concurrency as u64, Ordering::Relaxed);
-                let mut moves = Vec::with_capacity(seg.len());
-                for mu in seg {
-                    if let Mutation::Move { node, x, y } = *mu {
-                        let n = m.graph().node_count();
-                        if node >= n {
-                            return Err(oob_err(node, n));
-                        }
-                        moves.push((node, Point::new(x, y)));
-                    }
-                }
-                let report = m.apply_motion(&moves);
-                let step = moves.len() as u64;
-                epoch = entry.epoch.fetch_add(step, Ordering::AcqRel) + step;
-                promoted += report.promoted.len() as u64;
-                demoted += report.demoted.len() as u64;
-                chain = chain
-                    .filter(|_| !report.changed())
-                    .map(|b| patch_bundle(m.graph(), &b, &report, epoch));
+                // the maintained state is a pure function of the final
+                // positions (release-asserted against serial replay),
+                // so the whole run coalesces into ONE worklist repair
+                let moves: Vec<(NodeId, Point)> = seg
+                    .iter()
+                    .filter_map(|mu| match *mu {
+                        Mutation::Move { node, x, y } => Some((node, Point::new(x, y))),
+                        _ => None,
+                    })
+                    .collect();
+                (m.apply_motion(&moves), moves.len() as u64)
             }
-            Some(&Mutation::Join { x, y }) => {
-                let report = m.apply_join(Point::new(x, y));
-                epoch = entry.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-                promoted += report.promoted.len() as u64;
-                demoted += report.demoted.len() as u64;
-                chain = chain
-                    .filter(|_| !report.changed())
-                    .map(|b| patch_bundle(m.graph(), &b, &report, epoch));
-            }
+            Some(&Mutation::Join { x, y }) => (m.apply_join(Point::new(x, y)), 1),
             Some(&Mutation::Leave { node }) => {
-                let n = m.graph().node_count();
-                if node >= n {
-                    return Err(oob_err(node, n));
-                }
-                let report = m.apply_leave(node);
-                epoch = entry.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-                promoted += report.promoted.len() as u64;
-                demoted += report.demoted.len() as u64;
                 leave_seen = true;
-                chain = None; // id compaction invalidates id-keyed state
+                (m.apply_leave(node), 1)
             }
-            None => {}
-        }
+            None => continue,
+        };
+        epoch = entry.epoch.fetch_add(step, Ordering::AcqRel) + step;
+        promoted += report.promoted.len() as u64;
+        demoted += report.demoted.len() as u64;
+        // id compaction after a leave invalidates id-keyed state
+        chain = chain
+            .filter(|_| !leave_seen && !report.changed())
+            .map(|b| patch_bundle(m.graph(), &b, &report, epoch));
     }
     if leave_seen {
         t.leave_since_bundle = true;
     }
-    let outcome = BatchOutcome {
-        epoch,
-        applied: mutations.len() as u64,
-        promoted,
-        demoted,
-        lease_wait_us: 0,
-    };
+    let outcome = BatchOutcome { epoch, applied: mutations.len() as u64, promoted, demoted };
     Ok((outcome, chain))
 }
 
@@ -1191,13 +1047,9 @@ impl Store {
 
     /// Applies one maintenance mutation, advancing the epoch.
     ///
-    /// Admission goes through the entry's region-lease table first: the
-    /// mutation claims the grid cells conservatively covering its 3-hop
-    /// repair ball, proceeds immediately when no live claim overlaps,
-    /// and otherwise queues FIFO on the lease condvar — *without*
-    /// holding the topology lock, so a queued mutation blocks neither
-    /// readers nor disjoint mutations, and its wait is accounted as
-    /// queueing rather than service time.
+    /// Mutations on one topology are single-writer and commit in
+    /// arrival order: the mutation waits for its [`WriterQueue`] turn,
+    /// then is validated and applied under the topology write lock.
     ///
     /// When the repair left every dominator in place (the common case
     /// for small motions and absorbed joins) and the published bundle
@@ -1215,14 +1067,10 @@ impl Store {
     /// `NotFound`, `Unsupported` (static topology), or `OutOfRange`.
     pub fn mutate(&self, name: &str, mutation: &Mutation) -> Result<(u64, RepairReport), StoreError> {
         let entry = self.entry(name)?;
-        let scope = {
-            let topo = read_guard(&entry.topo)?;
-            claim_for(name, &topo, mutation)?
+        let (epoch, report, patch) = {
+            let _turn = entry.writers.enter()?;
+            apply_one(&entry, name, mutation)?
         };
-        let (ticket, _wait_us) = acquire_lease(&entry, scope)?;
-        let applied = apply_one(&entry, name, mutation);
-        release_lease(&entry, ticket);
-        let (epoch, report, patch) = applied?;
         if let Some(b) = patch {
             publish(&entry, b);
         }
@@ -1230,26 +1078,22 @@ impl Store {
     }
 
     /// Applies a whole mutation batch (a drift tick) under **one**
-    /// region lease, coalescing its repairs.
+    /// topology write-lock acquisition, coalescing its repairs. The
+    /// batch takes its [`WriterQueue`] turn like a single mutation.
     ///
-    /// The batch is validated up front against a topology snapshot —
-    /// all-or-nothing, ids interpreted in batch order exactly as a
-    /// serial replay would — and claims one lease for the union of its
-    /// per-mutation scopes. Maximal `Move` runs are planned into FIFO
-    /// waves of pairwise-disjoint claims
-    /// ([`wcds_core::maintenance::lease::plan_batch`]) for the
-    /// admission counters (waits, conflict pairs, peak admissible
-    /// concurrency), then applied as **one** `apply_motion` call — a
-    /// single cascade worklist pass over the union of the run's
-    /// disturbed regions with the refresh sweeps fanned out on the
-    /// parallel engine. (The maintained state is a pure function of
-    /// the final positions, so one coalesced pass is byte-identical to
-    /// wave-by-wave or fully serial application.) `Join` / `Leave`
-    /// mutations are their own single-mutation barriers (they change
-    /// the id space). The epoch advances by each segment's size in
-    /// commit order, so a batch of `k` returning epoch `e` occupied
-    /// epochs `e − k + 1 ..= e`, and the final state is byte-identical
-    /// to applying the same mutations serially in that order.
+    /// The batch is validated under that lock before anything is
+    /// applied — all-or-nothing, ids interpreted in batch order exactly
+    /// as a serial replay would. Each maximal `Move` run is applied as
+    /// **one** `apply_motion` call: a single cascade worklist pass over
+    /// the union of the run's disturbed regions, with the refresh
+    /// sweeps fanned out on the parallel engine. (The maintained state
+    /// is a pure function of the final positions, so one coalesced pass
+    /// is byte-identical to serial application.) `Join` / `Leave`
+    /// mutations apply one at a time (they change the id space). The
+    /// epoch advances by each segment's size in commit order, so a
+    /// batch of `k` returning epoch `e` occupied epochs
+    /// `e − k + 1 ..= e`, and the final state is byte-identical to
+    /// applying the same mutations serially in that order.
     ///
     /// # Errors
     ///
@@ -1268,21 +1112,16 @@ impl Store {
                 applied: 0,
                 promoted: 0,
                 demoted: 0,
-                lease_wait_us: 0,
             });
         }
-        let claims = {
-            let topo = read_guard(&entry.topo)?;
-            batch_claims(name, &topo, mutations)?
+        let (outcome, patch) = {
+            let _turn = entry.writers.enter()?;
+            apply_batch(&entry, name, mutations)?
         };
-        let (ticket, lease_wait_us) = acquire_lease(&entry, union_scope(&claims))?;
-        let applied = apply_batch(&entry, name, mutations, &claims);
-        release_lease(&entry, ticket);
-        let (outcome, patch) = applied?;
         if let Some(b) = patch {
             publish(&entry, b);
         }
-        Ok(BatchOutcome { lease_wait_us, ..outcome })
+        Ok(outcome)
     }
 
     /// Full statistics for one topology. Builds the bundle if stale, so
@@ -1330,10 +1169,7 @@ impl Store {
             routes_degraded: entry.routes_degraded.load(Ordering::Relaxed),
             routes_unreachable: entry.routes_unreachable.load(Ordering::Relaxed),
             heals: entry.heals.load(Ordering::Relaxed),
-            lease_waits: entry.lease_waits.load(Ordering::Relaxed),
-            lease_conflicts: entry.lease_conflicts.load(Ordering::Relaxed),
             batched_mutations: entry.batched_mutations.load(Ordering::Relaxed),
-            concurrent_repairs_max: entry.concurrent_repairs_max.load(Ordering::Relaxed),
             snapshot_reads: entry.snapshot_reads.load(Ordering::Relaxed),
             pipeline_depth_max: self.service.pipeline_depth_max.load(Ordering::Relaxed),
             syscalls: self.service.syscalls.load(Ordering::Relaxed),
