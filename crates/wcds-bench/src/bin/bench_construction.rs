@@ -21,7 +21,7 @@
 //! it.
 
 use wcds_bench::perf::{
-    legacy_flat_edges, legacy_torus_edges, time_ms, write_bench_json, BenchRow,
+    host_threads, legacy_flat_edges, legacy_torus_edges, time_ms, write_bench_json, BenchRow,
 };
 use wcds_bench::util::{connected_uniform_udg, side_for_avg_degree, Scale};
 use wcds_core::algo2::AlgorithmTwo;
@@ -29,7 +29,7 @@ use wcds_core::dilation::DilationEstimate;
 use wcds_core::partition::PartitionedTwo;
 use wcds_core::Wcds;
 use wcds_geom::deploy;
-use wcds_graph::{parallel, GraphBuilder, NodeId, UnitDiskGraph};
+use wcds_graph::{GraphBuilder, NodeId, UnitDiskGraph};
 
 const SEED: u64 = 42;
 /// Worker counts swept at city scale (satellite: thread-scaling rows).
@@ -190,20 +190,22 @@ fn city_scale(
         let (dil_mis, dil_add) =
             PartitionedTwo::with_threads(THREAD_SWEEP[3]).construct_parts(&dil_udg);
         let spanner = Wcds::new(dil_mis, dil_add).weakly_induced_subgraph(dil_udg.graph());
+        let dil_threads = host_threads();
         let (dil_ms, est) = time_ms(|| {
-            DilationEstimate::sampled(
+            DilationEstimate::sampled_with_threads(
                 dil_udg.graph(),
                 &spanner,
                 dil_udg.points(),
                 DILATION_SOURCES,
                 SEED,
+                dil_threads,
             )
         });
         rows.push(BenchRow::new(
             "dilation_sampled",
             n,
             spanner.edge_count(),
-            parallel::threads(),
+            dil_threads,
             dil_ms,
             est.sources_sampled,
         ));

@@ -8,19 +8,19 @@
 //! * `dilation_legacy` — the pre-CSR engine (`Vec<Vec<_>>` adjacency,
 //!   per-source allocation, layer sort), the speedup denominator;
 //! * `dilation_csr_serial` — the CSR + scratch engine on one thread;
-//! * `dilation_csr_parallel` — the same engine on
-//!   [`wcds_graph::parallel::threads`] workers (set `WCDS_THREADS` with
-//!   the `rayon` feature to pin the count).
+//! * `dilation_csr_parallel` — the same engine on one worker per
+//!   available CPU ([`host_threads`]), whatever `WCDS_THREADS` says.
 //!
 //! The parallel report is asserted **equal** to the serial one
 //! (witnesses included), and both must agree with the legacy ratios.
 
-use wcds_bench::perf::{legacy_dilation_sweep, time_ms, to_vec_adjacency, write_bench_json, BenchRow};
+use wcds_bench::perf::{
+    host_threads, legacy_dilation_sweep, time_ms, to_vec_adjacency, write_bench_json, BenchRow,
+};
 use wcds_bench::util::{connected_uniform_udg, side_for_avg_degree, Scale};
 use wcds_core::algo2::AlgorithmTwo;
 use wcds_core::dilation::DilationReport;
 use wcds_core::WcdsConstruction;
-use wcds_graph::parallel;
 
 const SEED: u64 = 42;
 
@@ -42,7 +42,7 @@ fn main() {
     let (serial_ms, serial) =
         time_ms(|| DilationReport::measure_with_threads(g, &spanner, udg.points(), 1));
 
-    let nthreads = parallel::threads();
+    let nthreads = host_threads();
     let (par_ms, par) =
         time_ms(|| DilationReport::measure_with_threads(g, &spanner, udg.points(), nthreads));
 

@@ -32,7 +32,7 @@
 //! no-collapse floor (oversubscribed runs may not fall below half the
 //! single-thread rate).
 
-use wcds_bench::perf::{time_ms, write_bench_json, BenchRow};
+use wcds_bench::perf::{host_threads, time_ms, write_bench_json, BenchRow};
 use wcds_bench::util::{side_for_avg_degree, Scale};
 use wcds_core::algo2::AlgorithmTwo;
 use wcds_core::maintenance::MaintainedWcds;
@@ -239,7 +239,7 @@ fn main() {
     // batched-drift thread sweep: (n, ticks of BATCH moves each)
     let sweep_sizes: &[(usize, usize)] =
         scale.pick(&[(300, 3)][..], &[(2000, 25), (100_000, 6)][..]);
-    let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_cpus = host_threads();
     let enforce_scaling = host_cpus >= *THREAD_SWEEP.last().unwrap_or(&1);
     for &(n, ticks) in sweep_sizes {
         let (edges, sweep) = run_thread_sweep(n, ticks);

@@ -90,8 +90,39 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64() * 1000.0, out)
 }
 
+/// The machine's available parallelism (1 where it cannot be read):
+/// the width the benches name for their parallel rows.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// The `"host"` object every `BENCH_*.json` carries, so a row's
+/// `threads` column can be read against the machine: its available
+/// parallelism and the raw `WCDS_THREADS` value (`null` when unset),
+/// which sets the width of every default-constructed engine.
+fn host_json(nproc: usize, wcds_threads_env: Option<&str>) -> String {
+    let env = wcds_threads_env.map_or_else(|| "null".to_string(), json_string);
+    format!("{{\"nproc\": {nproc}, \"wcds_threads_env\": {env}}}")
+}
+
+/// `s` as a quoted JSON string.
+fn json_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Serialises rows plus free-form check entries into a small JSON
-/// document and writes it to `path`.
+/// document and writes it to `path`, headed by the [`host_json`]
+/// object.
 ///
 /// `checks` values are emitted verbatim, so pass valid JSON scalars
 /// (`"true"`, `"3.14"`, `"\"text\""`).
@@ -100,8 +131,10 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
 ///
 /// Panics if the file cannot be written.
 pub fn write_bench_json(path: &str, bench: &str, rows: &[BenchRow], checks: &[(String, String)]) {
+    let host = host_json(host_threads(), std::env::var("WCDS_THREADS").ok().as_deref());
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"bench\": \"{bench}\",\n"));
+    out.push_str(&format!("  \"host\": {host},\n"));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -351,8 +384,19 @@ mod tests {
         assert!(s.contains("\"bench\": \"demo\""));
         assert!(s.contains("\"ok\": true"));
         assert!(s.contains("\"peak_rss_mb\": "));
+        assert!(s.contains("\"host\": {\"nproc\": "));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn host_object_quotes_the_env_value() {
+        assert_eq!(host_json(2, None), r#"{"nproc": 2, "wcds_threads_env": null}"#);
+        assert_eq!(host_json(8, Some("4")), r#"{"nproc": 8, "wcds_threads_env": "4"}"#);
+        assert_eq!(
+            host_json(1, Some("a\"b\\c\n")),
+            r#"{"nproc": 1, "wcds_threads_env": "a\"b\\c\u000a"}"#
+        );
     }
 
     #[test]

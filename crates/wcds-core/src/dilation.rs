@@ -15,11 +15,11 @@
 //! Dijkstra / shortest-path-DAG passes), plus the affine-bound checks
 //! with their worst witnesses.
 //!
-//! The sweep is per-source parallel (the `rayon` feature; see
-//! [`wcds_graph::parallel`]): each source yields an independent partial
-//! over its pairs, and the partials are folded **serially in source
-//! order** with the same strict-improvement comparisons a serial scan
-//! performs — so the report is byte-identical whatever the thread count.
+//! The sweep is per-source parallel (see [`wcds_graph::parallel`]):
+//! each source yields an independent partial over its pairs, and the
+//! partials are folded **serially in source order** with the same
+//! strict-improvement comparisons a serial scan performs — so the
+//! report is byte-identical whatever the thread count.
 
 use wcds_graph::{parallel, CsrWeights, Graph, NodeId, SearchScratch};
 use wcds_geom::Point;

@@ -18,8 +18,8 @@
 //!   unchanged ([`RepairReport::within_stable_component`]), and on
 //!   every join or leave between two connected graphs.
 //!
-//! The suite must pass serially and with `--features rayon` (CI runs
-//! both); nothing here depends on the feature, which is the point —
+//! The suite must pass at any `WCDS_THREADS` width (CI runs it unset
+//! and at 4); nothing here depends on the width, which is the point —
 //! results are engine-independent.
 
 use wcds_core::algo2::AlgorithmTwo;

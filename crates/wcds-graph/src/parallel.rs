@@ -1,4 +1,4 @@
-//! Opt-in parallel execution of per-source sweeps (`rayon` feature).
+//! Parallel execution of per-source sweeps.
 //!
 //! All-sources measurements (dilation, eccentricity, APSP) are
 //! embarrassingly parallel over sources, and every caller in this
@@ -7,31 +7,27 @@
 //!
 //! The build environment vendors no third-party crates, so the engine
 //! is dependency-free: `std::thread::scope` over contiguous chunks of
-//! an output slice. The cargo feature keeps the crate's historical
-//! `rayon` name (and CLI `--features rayon` spelling) even though no
-//! external crate backs it; without the feature every function here
-//! degrades to the serial loop.
+//! an output slice. With one worker every function here is exactly the
+//! serial loop, which is the oracle every parallel run is checked
+//! against.
 //!
-//! Worker count comes from [`threads`]: the `WCDS_THREADS` environment
-//! variable when set, else [`std::thread::available_parallelism`].
+//! The width is a runtime value only: callers that want workers pass
+//! them through the `*_with_threads` constructors, and the default
+//! constructors use [`threads`], which reads `WCDS_THREADS` and
+//! otherwise stays serial.
 
-/// Number of worker threads the parallel engine will use.
-///
-/// With the `rayon` feature off this is always 1. With it on, the
-/// `WCDS_THREADS` environment variable overrides (values `< 1` are
-/// clamped to 1), falling back to the machine's available parallelism.
+/// Number of worker threads the default constructors use: the
+/// `WCDS_THREADS` environment variable when it is set and parses to at
+/// least 1, else 1.
 pub fn threads() -> usize {
-    #[cfg(not(feature = "rayon"))]
-    {
-        1
-    }
-    #[cfg(feature = "rayon")]
-    {
-        match std::env::var("WCDS_THREADS") {
-            Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-            Err(_) => std::thread::available_parallelism().map_or(1, |p| p.get()),
-        }
-    }
+    threads_from(std::env::var("WCDS_THREADS").ok().as_deref())
+}
+
+/// The worker count a `WCDS_THREADS` value selects: the value trimmed
+/// and parsed when it is at least 1, else 1 (unset, empty, zero,
+/// negative and non-numeric values all mean serial).
+fn threads_from(var: Option<&str>) -> usize {
+    var.and_then(|v| v.trim().parse::<usize>().ok()).unwrap_or(1).max(1)
 }
 
 /// Fills `out[i] = f(state, i)` for every index, splitting the indices
@@ -154,22 +150,14 @@ mod tests {
         assert_eq!(marks, (0..30).collect::<Vec<_>>());
     }
 
-    #[cfg(not(feature = "rayon"))]
     #[test]
-    fn threads_is_one_without_the_feature() {
-        assert_eq!(threads(), 1);
-    }
-
-    #[cfg(feature = "rayon")]
-    #[test]
-    fn threads_honors_env_override() {
-        // NB: set_var is fine here; tests in this module run in one process
-        // and this is the only test reading the variable with the feature on.
-        std::env::set_var("WCDS_THREADS", "3");
-        assert_eq!(threads(), 3);
-        std::env::set_var("WCDS_THREADS", "0");
-        assert_eq!(threads(), 1);
-        std::env::remove_var("WCDS_THREADS");
-        assert!(threads() >= 1);
+    fn threads_from_parses_the_env_value() {
+        assert_eq!(threads_from(None), 1);
+        assert_eq!(threads_from(Some("3")), 3);
+        assert_eq!(threads_from(Some(" 2 ")), 2);
+        assert_eq!(threads_from(Some("0")), 1);
+        assert_eq!(threads_from(Some("abc")), 1);
+        assert_eq!(threads_from(Some("-1")), 1);
+        assert_eq!(threads_from(Some("")), 1);
     }
 }

@@ -6,23 +6,20 @@
 # (default) and the worker-pool oracle — and the event-loop leg also
 # exercises the pipelined client (`--repeat N --pipeline`).
 #
-# Usage: scripts/service_smoke.sh [--features rayon]
-# Extra arguments are passed to every `cargo run` (so the smoke runs
-# identically with and without the parallel engine).
+# Usage: scripts/service_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CARGO_FLAGS=("$@")
 PORT="${WCDS_SMOKE_PORT:-7741}"
 GRAPH="$(mktemp -t wcds-smoke-XXXXXX.graph)"
 trap 'rm -f "${GRAPH}"; kill "${SERVER_PID:-}" 2>/dev/null || true' EXIT
 
 wcds() {
-  cargo run --release -q "${CARGO_FLAGS[@]}" -p wcds-cli --bin wcds -- "$@"
+  cargo run --release -q -p wcds-cli --bin wcds -- "$@"
 }
 
 # build first so the backgrounded serve doesn't race a compile
-cargo build --release "${CARGO_FLAGS[@]}" -p wcds-cli
+cargo build --release -p wcds-cli
 
 wcds generate --model uniform --n 60 --side 4 --seed 5 -o "${GRAPH}"
 
@@ -67,7 +64,7 @@ session() {
   # worker leaked; a hang here fails CI via the step timeout)
   wait "${SERVER_PID}"
   SERVER_PID=""
-  echo "service smoke OK (${engine}, ${CARGO_FLAGS[*]:-serial})"
+  echo "service smoke OK (${engine})"
 }
 
 session event-loop  "127.0.0.1:${PORT}"

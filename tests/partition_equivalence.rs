@@ -5,7 +5,7 @@
 //! city-scale pipeline rests on. This suite checks it directly (the
 //! construction also self-checks at n ≤ 5000; here the comparison is
 //! explicit so the property is exercised at several widths and on
-//! adversarial inputs, with and without `--features rayon`).
+//! adversarial inputs, whatever `WCDS_THREADS` says).
 
 use wcds_core::algo2::AlgorithmTwo;
 use wcds_core::partition::PartitionedTwo;
